@@ -155,9 +155,11 @@ class FilteredController:
         self.desired = desired
         self.residual = residual
         self.u_limit = u_limit
-        # Monitors whether the (possibly learned) barrier condition ever
-        # became unenforceable during a rollout; the filter itself never aborts.
+        # Monitor whether the (possibly learned) barrier condition ever became
+        # unenforceable, and how often the clamp overrode the filtered input;
+        # the filter itself never aborts.
         self.infeasible_count = 0
+        self.clamped_count = 0
 
     def filter_result(self, x: np.ndarray, t: float) -> FilterResult:
         u_des = np.asarray(self.desired(x, t), dtype=float)
@@ -168,8 +170,9 @@ class FilteredController:
         if result.infeasible:
             self.infeasible_count += 1
         u = result.u
-        if self.u_limit is not None:
-            u = np.clip(u, -self.u_limit, self.u_limit)
+        if self.u_limit is not None and any(abs(v) > self.u_limit for v in u.tolist()):
+            self.clamped_count += 1
+            u = np.minimum(np.maximum(u, -self.u_limit), self.u_limit)
         return u
 
 

@@ -3,7 +3,10 @@
 Systems are represented by their drift f(x) and actuation g(x) evaluators,
 so xdot = f(x) + g(x) u (+ d for an additive disturbance). Rollouts use
 fixed-step classical Runge-Kutta with zero-order-hold inputs, which keeps
-simulations deterministic and mirrors a discrete control loop.
+simulations deterministic and mirrors a discrete control loop. The RK4 stage
+arithmetic runs on Python floats, in the same operation order as the vector
+formula, so a step equals its numpy form bit for bit at a fraction of the
+interpreter cost.
 """
 
 from __future__ import annotations
@@ -45,6 +48,10 @@ class ControlAffineSystem:
         input_dim: m, dimension of the input.
         drift: x -> f(x), shape (n,).
         actuation: x -> g(x), shape (n, m).
+
+    ``drift`` and ``actuation`` must be pure functions of the values of x and
+    return fresh arrays that the caller may keep or modify. :func:`step_rk4`
+    evaluates each of them once per RK stage.
 
     Local Lipschitz continuity of f and g is assumed, not checked; see
     :func:`lipschitz_probe` for a numerical diagnostic.
@@ -118,8 +125,8 @@ BENCHMARK_PERTURBATION = PerturbationSpec(
 )
 
 
-def _segway_accelerations(p: SegwayParams, x: np.ndarray):
-    """Mass-matrix pieces at state x = (pos, vel, pitch, pitch_rate).
+def segway_true(params: SegwayParams) -> ControlAffineSystem:
+    """4-state planar Segway: x = (pos, vel, pitch, pitch_rate), scalar torque u.
 
     Wheeled inverted pendulum with coordinates q = (pos, pitch):
 
@@ -128,43 +135,56 @@ def _segway_accelerations(p: SegwayParams, x: np.ndarray):
     The wheel's equivalent translational inertia uses the solid-disc value
     J_w / R^2 = wheel_mass / 2.
 
-    Returns (free, gain): qdd = free + gain * tau.
+    ``drift`` and ``actuation`` share one mass-matrix evaluation per state:
+    the last one is kept, keyed on the bytes of x (values, signs of zero
+    included), never on the array's identity.
     """
-    _, vel, pitch, rate = x
-    sin_t = math.sin(pitch)
-    cos_t = math.cos(pitch)
+    p = params
     ml = p.body_mass * p.com_length
-
+    neg_mgl = -p.body_mass * p.gravity * p.com_length
     d11 = p.body_mass + 1.5 * p.wheel_mass
-    d12 = ml * cos_t
     d22 = p.body_inertia + ml * p.com_length
-    det = d11 * d22 - d12 * d12
-    if abs(det) < 1e-10:
-        raise SingularMassMatrixError(f"det D(q) = {det} at pitch {pitch}")
-
-    # rhs = B tau - C qd - G, with viscous friction acting on vel.
-    c1 = -ml * sin_t * rate * rate + p.viscous_friction * vel
-    g2 = -p.body_mass * p.gravity * p.com_length * sin_t
+    friction = p.viscous_friction
     b1 = p.motor_torque_scale / p.wheel_radius
     b2 = -p.motor_torque_scale
+    last = (None, None)
 
-    # Explicit 2x2 inverse: D^-1 = [[d22, -d12], [-d12, d11]] / det.
-    free1 = (d22 * (-c1) - d12 * (-g2)) / det
-    free2 = (-d12 * (-c1) + d11 * (-g2)) / det
-    gain1 = (d22 * b1 - d12 * b2) / det
-    gain2 = (-d12 * b1 + d11 * b2) / det
-    return (free1, free2), (gain1, gain2)
-
-
-def segway_true(params: SegwayParams) -> ControlAffineSystem:
-    """4-state planar Segway: x = (pos, vel, pitch, pitch_rate), scalar torque u."""
+    def accelerations(x) -> tuple:
+        """(vel, free1, rate, free2, gain1, gain2) at x: qdd = free + gain * tau."""
+        nonlocal last
+        x = np.asarray(x, dtype=float)
+        key = x.tobytes()
+        cached_key, cached = last
+        if key == cached_key:
+            return cached
+        _, vel, pitch, rate = x.tolist()
+        sin_t = math.sin(pitch)
+        cos_t = math.cos(pitch)
+        d12 = ml * cos_t
+        det = d11 * d22 - d12 * d12
+        if abs(det) < 1e-10:
+            raise SingularMassMatrixError(f"det D(q) = {det} at pitch {pitch}")
+        # rhs = B tau - C qd - G, with viscous friction acting on vel.
+        c1 = -ml * sin_t * rate * rate + friction * vel
+        g2 = neg_mgl * sin_t
+        # Explicit 2x2 inverse: D^-1 = [[d22, -d12], [-d12, d11]] / det.
+        out = (
+            vel,
+            (d22 * (-c1) - d12 * (-g2)) / det,
+            rate,
+            (-d12 * (-c1) + d11 * (-g2)) / det,
+            (d22 * b1 - d12 * b2) / det,
+            (-d12 * b1 + d11 * b2) / det,
+        )
+        last = (key, out)
+        return out
 
     def drift(x: np.ndarray) -> np.ndarray:
-        (f1, f2), _ = _segway_accelerations(params, x)
-        return np.array([x[1], f1, x[3], f2])
+        vel, f1, rate, f2, _, _ = accelerations(x)
+        return np.array([vel, f1, rate, f2])
 
     def actuation(x: np.ndarray) -> np.ndarray:
-        _, (g1, g2) = _segway_accelerations(params, x)
+        _, _, _, _, g1, g2 = accelerations(x)
         return np.array([[0.0], [g1], [0.0], [g2]])
 
     return ControlAffineSystem(4, 1, drift, actuation)
@@ -245,16 +265,30 @@ def step_rk4(
     """One classical RK4 step of xdot = f(x) + g(x)u + d, u and d held constant."""
     if not dt > 0.0:
         raise ValueError("dt must be positive")
-    k1 = system.field_at(x, u, d)
-    k2 = system.field_at(x + 0.5 * dt * k1, u, d)
-    k3 = system.field_at(x + 0.5 * dt * k2, u, d)
-    k4 = system.field_at(x + dt * k3, u, d)
-    x_next = x + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-    if not np.all(np.isfinite(x_next)):
+    dl = None if d is None else d.tolist()
+    if system.input_dim == 1:
+        u0 = float(u[0])
+
+    def field(z: np.ndarray) -> list:
+        f, g = system.drift(z), system.actuation(z)
+        if system.input_dim == 1:
+            # numpy's g @ u sums from +0.0; adding 0.0 gives a zero product the same sign.
+            k = [fi + (0.0 + gi * u0) for fi, (gi,) in zip(f.tolist(), g.tolist())]
+        else:
+            k = (f + g @ u).tolist()
+        return k if dl is None else [ki + di for ki, di in zip(k, dl)]
+
+    xs = x.tolist()
+    k1 = field(x)
+    k2 = field(np.array([xi + 0.5 * dt * ki for xi, ki in zip(xs, k1)]))
+    k3 = field(np.array([xi + 0.5 * dt * ki for xi, ki in zip(xs, k2)]))
+    k4 = field(np.array([xi + dt * ki for xi, ki in zip(xs, k3)]))
+    x_next = [xi + (dt / 6.0) * (a + 2.0 * b + 2.0 * c + e) for xi, a, b, c, e in zip(xs, k1, k2, k3, k4)]
+    if not all(map(math.isfinite, x_next)):
         raise NonFiniteDynamicsError(f"non-finite state after step from {x}")
-    if np.max(np.abs(x_next)) > BLOWUP_LIMIT:
+    if max(map(abs, x_next)) > BLOWUP_LIMIT:
         raise NumericalBlowUpError(f"state magnitude exceeded {BLOWUP_LIMIT:g}")
-    return x_next
+    return np.array(x_next)
 
 
 def simulate(

@@ -142,8 +142,7 @@ def model_error_drift_sup(scn: Scenario, samples: int = 1000) -> float:
     lows = np.array([-1.0, -2.0, -scn.cfg["barrier"]["pitch_max"], -scn.cfg["barrier"]["pitch_rate_max"]])
     highs = -lows
     worst = 0.0
-    for _ in range(samples):
-        x = rng.uniform(lows, highs)
+    for x in rng.uniform(lows, highs, size=(samples, 4)):
         err = scn.true_system.drift(x) - scn.nominal_system.drift(x)
         worst = max(worst, float(np.linalg.norm(err)))
     return worst
@@ -178,6 +177,7 @@ def _mode_summary(scn: Scenario, residual: Optional[ResidualModel], excitation) 
             "terminated_early": traj.terminated_early,
             "termination_reason": traj.termination_reason,
             "filter_infeasible_steps": controller.infeasible_count,
+            "filter_clamped_steps": controller.clamped_count,
         },
     }
 

@@ -261,6 +261,24 @@ class TestSafetyFilter:
         assert worst < 1e5
 
 
+class TestClamp:
+    # Outside the set at x = 1.2 the filter demands u <= -11/6 against u_des = 1.
+    def test_clamped_steps_counted(self):
+        bar, sys = scalar_barrier(k=10.0), scalar_system()
+        assert safety_filter(bar, sys, np.array([1.0]), np.array([1.2])).u[0] < -1.8
+        controller = FilteredController(bar, sys, lambda x, t: np.array([1.0]), u_limit=1.0)
+        assert np.array_equal(controller(np.array([1.2]), 0.0), [-1.0])
+        assert np.array_equal(controller(np.array([0.0]), 0.0), [1.0])
+        assert np.array_equal(controller(np.array([1.2]), 0.0), [-1.0])
+        assert controller.clamped_count == 2
+        assert controller.infeasible_count == 0
+
+    def test_no_limit_never_clamps(self):
+        controller = FilteredController(scalar_barrier(k=10.0), scalar_system(), lambda x, t: np.array([1.0]))
+        assert controller(np.array([1.2]), 0.0)[0] < -1.8
+        assert controller.clamped_count == 0
+
+
 class TestFilterConsistency:
     def test_perfect_model_invariance(self):
         # nominal = true: closed loop from inside C keeps h above -1e-6

@@ -132,6 +132,22 @@ class TestSimulateCommand:
         min_h = min(bar.h(np.array([float(v) for v in row[1:5]])) for row in traj_rows)
         assert abs(min_h - summary["no_learning"]["min_h"]) <= 1e-12
 
+    def test_clamped_steps_reported(self, tmp_path):
+        # The committed benchmark model drives the learned filter past u_max
+        # (a known defect); every clamped step applies exactly +-u_max.
+        path = write_cfg(tmp_path, {"run": {"duration": 3.0}})
+        model = REPO_ROOT / "perfbench" / "inputs" / "model_seed0.json"
+        out = tmp_path / "out"
+        assert main(["simulate", "--config", str(path), "--model", str(model), "--out", str(out)]) == 0
+        summary = json.loads((out / "summary.json").read_text())
+        u_max = load_config(out / "resolved_config.yaml")["controller"]["u_max"]
+        for mode in ("no_learning", "learned"):
+            _, rows = read_csv(out / f"trajectory_{mode}.csv")
+            at_limit = sum(1 for row in rows[:-1] if abs(float(row[5])) == u_max)
+            assert summary[mode]["filter_clamped_steps"] == at_limit
+        assert summary["no_learning"]["filter_clamped_steps"] == 0
+        assert summary["learned"]["filter_clamped_steps"] == 2
+
     def test_config_error_exit_code(self, tmp_path):
         path = write_cfg(tmp_path, {"run": {"dt": -1.0}})
         assert main(["simulate", "--config", str(path), "--out", str(tmp_path / "out")]) == 2

@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -9,9 +10,11 @@ from pssf.dynamics import (
     ControlAffineSystem,
     DisturbanceBoundError,
     DisturbanceSignal,
+    NonFiniteDynamicsError,
     NumericalBlowUpError,
     PerturbationSpec,
     SegwayParams,
+    SingularMassMatrixError,
     Trajectory,
     lipschitz_probe,
     segway_energy,
@@ -140,6 +143,109 @@ class TestStepRK4:
         d = np.array([1.0, -2.0])
         out = step_rk4(sys, np.zeros(2), np.zeros(1), d, 0.5)
         assert np.allclose(out, 0.5 * d)
+
+
+def numpy_rk4(system, x, u, d, dt):
+    """Textbook vector RK4 on ``field_at``: the oracle for :func:`step_rk4`."""
+    k1 = system.field_at(x, u, d)
+    k2 = system.field_at(x + 0.5 * dt * k1, u, d)
+    k3 = system.field_at(x + 0.5 * dt * k2, u, d)
+    k4 = system.field_at(x + dt * k3, u, d)
+    return x + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+
+
+def assert_bitwise_equal(a, b):
+    assert np.array_equal(a, b)
+    assert np.array_equal(np.signbit(a), np.signbit(b))
+
+
+class TestStepMatchesNumpyOracle:
+    @pytest.mark.parametrize("perturbation", [None, BENCHMARK_PERTURBATION])
+    def test_segway_random_states(self, params, perturbation):
+        system = segway_true(params) if perturbation is None else segway_nominal(params, perturbation)
+        rng = np.random.default_rng(20)
+        states = random_segway_states(rng, 1000)
+        # Exact zeros of either sign exercise the sign rules of g @ u.
+        zeros = rng.uniform(size=states.shape) < 0.05
+        states[zeros] = rng.choice([0.0, -0.0], size=int(zeros.sum()))
+        inputs = rng.uniform(-100.0, 100.0, size=(1000, 1))
+        inputs[::50] = 0.0
+        inputs[25::50] = -0.0
+        cases = list(zip(states, inputs))
+        # At rest every stage derivative can be a signed zero.
+        cases += [(np.array(x), np.array([u])) for x in itertools.product([0.0, -0.0], repeat=4)
+                  for u in (0.0, -0.0, 1.0, -1.0)]
+        for x, u in cases:
+            assert_bitwise_equal(step_rk4(system, x, u, None, 1e-3), numpy_rk4(system, x, u, None, 1e-3))
+
+    @pytest.mark.parametrize("m", [1, 2])
+    def test_generic_system_with_disturbance(self, m):
+        rng = np.random.default_rng(21)
+        A = rng.normal(size=(3, 3))
+        B = rng.normal(size=(3, m))
+        sys = ControlAffineSystem(3, m, lambda x: np.sin(A @ x) * x, lambda x: B * np.cos(x[0]))
+        cases = [(rng.normal(size=3), rng.uniform(-100.0, 100.0, size=m), rng.normal(size=3))
+                 for _ in range(200)]
+        cases += [(np.array(x), np.full(m, u), np.array(d))
+                  for x in itertools.product([0.0, -0.0], repeat=3) for u in (0.0, -0.0)
+                  for d in ([0.0, -0.0, 0.0], [-0.0, -0.0, -0.0])]
+        for x, u, d in cases:
+            assert_bitwise_equal(step_rk4(sys, x, u, d, 0.01), numpy_rk4(sys, x, u, d, 0.01))
+
+
+class TestGuards:
+    def test_nan_drift_raises_and_ends_rollout(self):
+        sys = ControlAffineSystem(1, 1, lambda x: np.array([math.nan]), lambda x: np.zeros((1, 1)))
+        with pytest.raises(NonFiniteDynamicsError):
+            step_rk4(sys, np.array([1.0]), np.zeros(1), None, 1e-3)
+        traj = simulate(sys, lambda x, t: np.zeros(1), np.array([1.0]), 0.01, 1e-3)
+        assert traj.terminated_early
+        assert traj.termination_reason == "non-finite dynamics"
+        assert len(traj.states) == 1 and len(traj.inputs) == 0
+
+    def test_singular_mass_matrix(self):
+        sys = segway_true(SegwayParams(body_inertia=1e-12, wheel_mass=1e-12))
+        x = np.zeros(4)
+        for evaluate in (sys.drift, sys.actuation, sys.drift):
+            with pytest.raises(SingularMassMatrixError):
+                evaluate(x)
+
+
+class TestSharedEvaluation:
+    """drift and actuation share one mass-matrix evaluation, keyed on x's values."""
+
+    def test_interleaved_calls_match_fresh_system(self, params):
+        rng = np.random.default_rng(22)
+        a, b = random_segway_states(rng, 2)
+        make = {"true": lambda: segway_true(params),
+                "nominal": lambda: segway_nominal(params, BENCHMARK_PERTURBATION)}
+        shared = {name: factory() for name, factory in make.items()}
+        calls = [("true", "drift", a), ("true", "actuation", b), ("true", "drift", a),
+                 ("nominal", "drift", a), ("true", "actuation", a), ("nominal", "actuation", b),
+                 ("true", "drift", b), ("nominal", "drift", a)]
+        for system, evaluator, x in calls:
+            expected = getattr(make[system](), evaluator)(x)
+            assert np.array_equal(getattr(shared[system], evaluator)(x), expected)
+
+    def test_array_mutated_in_place(self, segway, params):
+        x = np.array([0.0, 0.3, 0.1, -0.2])
+        first_f, first_g = segway.drift(x), segway.actuation(x)
+        x[2] = -0.25
+        x[1] = 1.5
+        fresh = segway_true(params)
+        assert np.array_equal(segway.drift(x), fresh.drift(x.copy()))
+        assert np.array_equal(segway.actuation(x), fresh.actuation(x.copy()))
+        assert not np.array_equal(segway.drift(x), first_f)
+        assert not np.array_equal(segway.actuation(x), first_g)
+
+    def test_returns_fresh_arrays(self, segway):
+        x = np.array([0.0, 0.3, 0.1, -0.2])
+        f = segway.drift(x)
+        f[:] = 0.0
+        g = segway.actuation(x)
+        g[:] = 0.0
+        assert np.any(segway.drift(x) != 0.0)
+        assert np.any(segway.actuation(x) != 0.0)
 
 
 class TestSimulate:
