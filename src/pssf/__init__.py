@@ -23,8 +23,7 @@ from .certify import (
     delta_bound,
     direct_transport_floor,
     make_certificate,
-    projected_disturbance_learned,
-    projected_disturbance_model_error,
+    projected_disturbance,
     projected_dynamics,
     transport_inflation,
     verify_certificate,
@@ -57,13 +56,13 @@ from .kfun import (
 )
 from .learning import (
     Dataset,
-    EpisodicConfig,
     EpisodeHistory,
     FeatureMap,
     NoiseSpec,
     ResidualModel,
     collect_episode,
     episodic_train,
+    excite,
     fit_residual,
 )
 

@@ -2,10 +2,13 @@
 
 Model uncertainty is quantified where it matters for safety: as the scalar
 mismatch delta between the true and modeled barrier derivative along the
-closed loop. The worst observed |delta| inflates the safe set; the inflated
-set {h >= -alpha^-1(delta_bar)} is what a certificate claims stays
-invariant, and :func:`verify_certificate` checks that claim against a
-trajectory instead of assuming it.
+closed loop. One formula, :func:`projected_disturbance`, gives it:
+grad_h . [(f - f_hat) + (g - g_hat) u], minus the learned prediction
+b_hat + a_hat . u when a residual model joins the design model. The worst
+observed |delta| inflates the safe set; the inflated set
+{h >= -alpha^-1(delta_bar)} is what a certificate claims stays invariant,
+and :func:`verify_certificate` checks that claim against a trajectory
+instead of assuming it.
 """
 
 from __future__ import annotations
@@ -15,7 +18,7 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .barrier import BarrierFunction, HdotResidual, h_dot
+from .barrier import BarrierFunction, HdotResidual
 from .dynamics import ControlAffineSystem, Trajectory, finite_difference_jacobian
 from .ioutil import write_csv
 from .kfun import ComparisonFunction, Linear, compose
@@ -166,40 +169,29 @@ def check_compatibility(pair: CompatiblePair, samples: Sequence[np.ndarray], sla
     )
 
 
-def projected_disturbance_model_error(
+def projected_disturbance(
     bar: BarrierFunction,
     true_sys: ControlAffineSystem,
     nominal_sys: ControlAffineSystem,
     x: np.ndarray,
     u: np.ndarray,
+    residual: Optional[HdotResidual] = None,
 ) -> float:
-    """delta = grad_h(x) . [(f - f_hat)(x) + (g - g_hat)(x) u].
+    """delta = grad_h(x) . [(f - f_hat)(x) + (g - g_hat)(x) u] - [b_hat(x) + a_hat(x) . u].
 
-    Equals hdot under the true system minus hdot under the design model;
-    this is where model uncertainty shows up in the barrier derivative.
+    The first term is hdot under the true system minus hdot under the design
+    model: where model uncertainty shows up in the barrier derivative. Given a
+    residual model, its prediction is subtracted, leaving what the learned
+    terms do not explain; without one the prediction is zero.
     """
     grad = bar.grad_h(x)
     df = true_sys.drift(x) - nominal_sys.drift(x)
     dg = true_sys.actuation(x) - nominal_sys.actuation(x)
-    return float(grad @ (df + dg @ u))
-
-
-def projected_disturbance_learned(
-    bar: BarrierFunction,
-    nominal_sys: ControlAffineSystem,
-    residual: HdotResidual,
-    true_sys: ControlAffineSystem,
-    x: np.ndarray,
-    u: np.ndarray,
-) -> float:
-    """Residual delta once the learned terms join the modeled derivative.
-
-    delta = hdot_true(x, u) - [hdot_model(x, u) + b_hat(x) + a_hat(x) . u],
-    i.e. the model-error delta minus the residual model's prediction.
-    """
-    b_hat, a_hat = residual.terms(x)
-    predicted = b_hat + float(np.asarray(a_hat) @ u)
-    return h_dot(bar, true_sys, x, u) - h_dot(bar, nominal_sys, x, u) - predicted
+    delta = float(grad @ (df + dg @ u))
+    if residual is not None:
+        b_hat, a_hat = residual.terms(x)
+        delta -= b_hat + float(np.asarray(a_hat) @ u)
+    return delta
 
 
 def closed_loop_delta_trace(
@@ -216,11 +208,7 @@ def closed_loop_delta_trace(
     """
     deltas = np.empty(len(traj.inputs))
     for j in range(len(traj.inputs)):
-        x, u = traj.states[j], traj.inputs[j]
-        if residual is None:
-            deltas[j] = projected_disturbance_model_error(bar, true_sys, nominal_sys, x, u)
-        else:
-            deltas[j] = projected_disturbance_learned(bar, nominal_sys, residual, true_sys, x, u)
+        deltas[j] = projected_disturbance(bar, true_sys, nominal_sys, traj.states[j], traj.inputs[j], residual)
     mode = MODE_MODEL_ERROR if residual is None else MODE_LEARNED
     return DeltaTrace(times=traj.times[:-1].copy(), delta=deltas, mode=mode)
 

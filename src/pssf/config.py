@@ -9,12 +9,13 @@ artifact can be reproduced from what sits next to it.
 from __future__ import annotations
 
 import copy
+import dataclasses
 from pathlib import Path
 
 import jsonschema
 import yaml
 
-from .dynamics import SegwayParams
+from .dynamics import BENCHMARK_PERTURBATION, SegwayParams
 
 
 class ConfigError(ValueError):
@@ -25,17 +26,10 @@ _SEGWAY_FIELDS = list(SegwayParams.__dataclass_fields__)
 
 DEFAULT_CONFIG = {
     "system": {
-        "body_mass": 44.8,
-        "wheel_mass": 2.0,
-        "com_length": 0.8,
-        "body_inertia": 6.0,
-        "wheel_radius": 0.195,
-        "gravity": 9.81,
-        "viscous_friction": 0.1,
-        "motor_torque_scale": 1.0,
+        **dataclasses.asdict(SegwayParams()),
         "perturbation": {
-            "scale": {"body_mass": 1.15, "body_inertia": 0.85, "motor_torque_scale": 0.9},
-            "drop_friction": True,
+            "scale": dict(BENCHMARK_PERTURBATION.scale),
+            "drop_friction": BENCHMARK_PERTURBATION.drop_friction,
         },
     },
     "barrier": {
@@ -173,7 +167,7 @@ SCHEMA = {
             "type": "object",
             "additionalProperties": False,
             "properties": {
-                "duration": _NONNEGATIVE,
+                "duration": _POSITIVE,
                 "dt": _POSITIVE,
                 "seed": {"type": "integer"},
                 "x0": {"type": "array", "items": _NUMBER, "minItems": 4, "maxItems": 4},

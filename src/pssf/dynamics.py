@@ -246,7 +246,7 @@ class Trajectory:
     def to_csv(self, path) -> None:
         """Write `t, x1..xn, u1..um` rows; the final row has no input cells."""
         n = self.states.shape[1]
-        m = self.inputs.shape[1] if self.inputs.size else 1
+        m = self.inputs.shape[1]
         header = ["t"] + [f"x{i + 1}" for i in range(n)] + [f"u{i + 1}" for i in range(m)]
         rows = []
         for j, t in enumerate(self.times):

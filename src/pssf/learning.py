@@ -11,9 +11,9 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import combinations_with_replacement
-from typing import Callable, Optional, Sequence, Union
+from typing import TYPE_CHECKING, Callable, Optional, Sequence, Union
 
 import numpy as np
 
@@ -21,6 +21,9 @@ from .barrier import BarrierFunction, FilteredController, h_dot
 from .certify import closed_loop_delta_trace, delta_bound
 from .dynamics import ControlAffineSystem, simulate
 from .ioutil import read_csv, read_json, write_csv, write_json
+
+if TYPE_CHECKING:
+    from .scenario import Scenario
 
 POLYNOMIAL = "polynomial"
 RANDOM_FOURIER = "random_fourier"
@@ -340,8 +343,10 @@ def fit_residual(data: Dataset, features: FeatureMap, ridge_lambda: float) -> Re
     Minimizes sum_j (target_j - w_b.phi_j - (W_a phi_j).u_j)^2
     + lambda (||w_b||^2 + ||W_a||^2) via least squares on the regularized
     stack. Normalization is fitted on the first episode's rows if absent.
-    A condition estimate of the regularized Gram matrix above 1e12 flags the
-    model as ill conditioned (the solution is still returned).
+    The stack's Gram matrix is the regularized Gram matrix, so its condition
+    number is the squared ratio of the stack's extreme singular values, which
+    the least-squares solve already returns. An estimate above 1e12 flags
+    the model as ill conditioned (the solution is still returned).
     """
     if len(data) == 0:
         raise ValueError("dataset is empty")
@@ -359,10 +364,9 @@ def fit_residual(data: Dataset, features: FeatureMap, ridge_lambda: float) -> Re
 
     stack = np.vstack([design, math.sqrt(ridge_lambda) * np.eye(p)])
     rhs = np.concatenate([y, np.zeros(p)])
-    w, *_ = np.linalg.lstsq(stack, rhs, rcond=None)
+    w, _, _, sv = np.linalg.lstsq(stack, rhs, rcond=None)
 
-    gram = design.T @ design + ridge_lambda * np.eye(p)
-    cond = float(np.linalg.cond(gram))
+    cond = float((sv[0] / sv[-1]) ** 2)
     ill = cond > 1e12
     if ill:
         warnings.warn(f"regularized Gram condition estimate {cond:.3g} exceeds 1e12")
@@ -377,29 +381,6 @@ def fit_residual(data: Dataset, features: FeatureMap, ridge_lambda: float) -> Re
         training_rms=rms,
         ill_conditioned=ill,
     )
-
-
-@dataclass
-class EpisodicConfig:
-    """Everything the episodic loop needs, including the plant and filter pieces."""
-
-    true_system: ControlAffineSystem
-    nominal_system: ControlAffineSystem
-    barrier: BarrierFunction
-    desired: Callable[[np.ndarray, float], np.ndarray]
-    x0: np.ndarray
-    episodes: int
-    episode_duration: float
-    dt: float
-    features: FeatureMap
-    ridge_lambda: Union[float, Sequence[float], Callable[[int], float]] = 1e-4
-    excitation_amplitude: float = 0.0
-    excitation_hold_steps: int = 20
-    x0_jitter: Optional[np.ndarray] = None
-    noise_std: Optional[Union[float, Sequence[float]]] = None
-    seed: int = 0
-    validation_duration: Optional[float] = None
-    u_limit: Optional[float] = None
 
 
 @dataclass(frozen=True)
@@ -428,41 +409,59 @@ class EpisodeHistory:
         write_csv(path, ["episode", "training_rms", "validation_delta_bar"], rows)
 
 
-def _lambda_at(schedule, episode: int) -> float:
-    if callable(schedule):
-        return float(schedule(episode))
-    if isinstance(schedule, (list, tuple)):
-        return float(schedule[min(episode, len(schedule) - 1)])
-    return float(schedule)
+def excite(
+    desired: Callable[[np.ndarray, float], np.ndarray],
+    amplitude: float,
+    hold_steps: int,
+    dt: float,
+    duration: float,
+    input_dim: int,
+    rng: np.random.Generator,
+) -> Callable[[np.ndarray, float], np.ndarray]:
+    """desired(x, t) plus a seeded zero-mean piecewise-constant excitation.
+
+    One uniform draw in [-amplitude, amplitude]^input_dim per block of
+    hold_steps steps covering duration; later times keep the last block.
+    """
+    n_steps = max(1, int(round(duration / dt)))
+    values = rng.uniform(-amplitude, amplitude, size=(-(-n_steps // hold_steps), input_dim))
+    last = len(values) - 1
+
+    def controller(x: np.ndarray, t: float) -> np.ndarray:
+        block = int(round(t / dt)) // hold_steps
+        return np.asarray(desired(x, t), dtype=float) + values[min(block, last)]
+
+    return controller
 
 
-def _piecewise_constant(values: np.ndarray, dt: float, hold: int) -> Callable[[float], np.ndarray]:
-    def signal(t: float) -> np.ndarray:
-        block = int(round(t / dt)) // hold
-        return values[min(block, len(values) - 1)]
-    return signal
+def episodic_train(scn: "Scenario") -> tuple[ResidualModel, EpisodeHistory]:
+    """Collect / refit / redeploy loop on a built scenario.
 
-
-def episodic_train(config: EpisodicConfig) -> tuple[ResidualModel, EpisodeHistory]:
-    """Collect / refit / redeploy loop.
+    From the Scenario it reads the plant (true_system), the design model
+    (nominal_system), barrier, desired controller, x0, dt, seed and u_limit;
+    from ``scn.cfg["learning"]`` it reads episodes, episode_duration,
+    features, ridge_lambda, excitation (amplitude, hold_steps), x0_jitter
+    and noise_std. One generator seeded with ``scn.seed`` draws, per
+    episode and in this order, the x0 jitter, the excitation and the
+    measurement noise.
 
     Episode 0 runs the filter without residual terms; after each episode the
     model is refit on all data aggregated so far and used by the filter in
     later episodes. Per-episode validation rolls the current filtered
-    controller out without excitation and records the worst residual delta.
-    Episodes that terminate early are excluded from the aggregate with a
-    reason; training aborts only if every episode is excluded.
+    controller out for ``scn.duration`` without excitation and records the
+    worst residual delta. Episodes that terminate early are excluded from
+    the aggregate with a reason; training aborts only if every episode is
+    excluded.
     """
-    cfg = config
-    rng = np.random.default_rng(cfg.seed)
-    val_duration = cfg.validation_duration if cfg.validation_duration is not None else cfg.episode_duration
-    m = cfg.true_system.input_dim
+    learn = scn.cfg["learning"]
+    features = FeatureMap.from_config(learn["features"])
+    rng = np.random.default_rng(scn.seed)
 
     def validation_delta(residual) -> float:
-        controller = FilteredController(cfg.barrier, cfg.nominal_system, cfg.desired,
-                                        residual=residual, u_limit=cfg.u_limit)
-        traj = simulate(cfg.true_system, controller, cfg.x0, val_duration, cfg.dt)
-        trace = closed_loop_delta_trace(traj, cfg.barrier, cfg.true_system, cfg.nominal_system, residual=residual)
+        controller = FilteredController(scn.barrier, scn.nominal_system, scn.desired,
+                                        residual=residual, u_limit=scn.u_limit)
+        traj = simulate(scn.true_system, controller, scn.x0, scn.duration, scn.dt)
+        trace = closed_loop_delta_trace(traj, scn.barrier, scn.true_system, scn.nominal_system, residual=residual)
         return delta_bound(trace)
 
     baseline = validation_delta(None)
@@ -470,39 +469,29 @@ def episodic_train(config: EpisodicConfig) -> tuple[ResidualModel, EpisodeHistor
     model: Optional[ResidualModel] = None
     collected: list[Dataset] = []
     records: list[EpisodeRecord] = []
-    n_steps = int(round(cfg.episode_duration / cfg.dt))
-    for e in range(cfg.episodes):
-        x0_e = np.asarray(cfg.x0, dtype=float)
-        if cfg.x0_jitter is not None:
-            x0_e = x0_e + rng.normal(size=x0_e.shape) * np.asarray(cfg.x0_jitter, dtype=float)
-
-        n_blocks = max(1, -(-n_steps // cfg.excitation_hold_steps))
-        excitation_values = rng.uniform(-cfg.excitation_amplitude, cfg.excitation_amplitude, size=(n_blocks, m))
-        excitation = _piecewise_constant(excitation_values, cfg.dt, cfg.excitation_hold_steps)
-
-        current_model = model
-
-        def desired_with_excitation(x, t):
-            return np.asarray(cfg.desired(x, t), dtype=float) + excitation(t)
-
-        controller = FilteredController(cfg.barrier, cfg.nominal_system, desired_with_excitation,
-                                        residual=current_model, u_limit=cfg.u_limit)
-        noise = NoiseSpec(cfg.noise_std, rng) if cfg.noise_std is not None else None
-        ds = collect_episode(cfg.true_system, cfg.nominal_system, cfg.barrier, controller,
-                             x0_e, cfg.episode_duration, cfg.dt, noise=noise, episode_id=e)
+    for e in range(learn["episodes"]):
+        x0_e = scn.x0
+        if learn["x0_jitter"] is not None:
+            x0_e = x0_e + rng.normal(size=x0_e.shape) * np.asarray(learn["x0_jitter"], dtype=float)
+        desired = excite(scn.desired, learn["excitation"]["amplitude"], learn["excitation"]["hold_steps"],
+                         scn.dt, learn["episode_duration"], scn.true_system.input_dim, rng)
+        controller = FilteredController(scn.barrier, scn.nominal_system, desired,
+                                        residual=model, u_limit=scn.u_limit)
+        noise = NoiseSpec(learn["noise_std"], rng) if learn["noise_std"] is not None else None
+        ds = collect_episode(scn.true_system, scn.nominal_system, scn.barrier, controller,
+                             x0_e, learn["episode_duration"], scn.dt, noise=noise, episode_id=e)
         if ds.terminated_reason is not None:
             records.append(EpisodeRecord(e, len(ds), math.nan, math.nan, excluded=True, reason=ds.terminated_reason))
             continue
 
-        infeasible = controller.infeasible_count
         collected.append(ds)
-        model = fit_residual(Dataset.merge(collected), cfg.features, _lambda_at(cfg.ridge_lambda, e))
+        model = fit_residual(Dataset.merge(collected), features, learn["ridge_lambda"])
         records.append(EpisodeRecord(
             episode=e,
             rows=len(ds),
             training_rms=model.training_rms,
             validation_delta_bar=validation_delta(model),
-            filter_infeasible_steps=infeasible,
+            filter_infeasible_steps=controller.infeasible_count,
         ))
 
     if model is None:

@@ -25,7 +25,7 @@ from .certify import (
     make_certificate,
     verify_certificate,
 )
-from .config import save_config, set_by_path, validate_config
+from .config import ConfigError, save_config, set_by_path, validate_config
 from .dynamics import (
     ControlAffineSystem,
     DisturbanceSignal,
@@ -35,8 +35,8 @@ from .dynamics import (
     segway_true,
     simulate,
 )
-from .ioutil import fmt_float, write_csv, write_json
-from .learning import EpisodicConfig, FeatureMap, ResidualModel, episodic_train
+from .ioutil import write_csv, write_json
+from .learning import ResidualModel, episodic_train, excite
 
 
 def ellipse_pitch_barrier(pitch_max: float, rate_max: float, alpha) -> BarrierFunction:
@@ -68,20 +68,6 @@ def pd_pitch_controller(kp: float, kd: float, amplitude: float, frequency: float
         return np.array([kp * (x[2] - ref) + kd * (x[3] - ref_rate)])
 
     return controller
-
-
-def make_excitation(amplitude: float, hold_steps: int, dt: float, duration: float,
-                    input_dim: int, rng: np.random.Generator) -> Callable[[float], np.ndarray]:
-    """Seeded zero-mean piecewise-constant input excitation."""
-    n_steps = max(1, int(round(duration / dt)))
-    n_blocks = -(-n_steps // hold_steps)
-    values = rng.uniform(-amplitude, amplitude, size=(n_blocks, input_dim))
-
-    def signal(t: float) -> np.ndarray:
-        block = int(round(t / dt)) // hold_steps
-        return values[min(block, n_blocks - 1)]
-
-    return signal
 
 
 @dataclass
@@ -148,14 +134,8 @@ def model_error_drift_sup(scn: Scenario, samples: int = 1000) -> float:
     return worst
 
 
-def _mode_summary(scn: Scenario, residual: Optional[ResidualModel], excitation) -> dict:
+def _mode_summary(scn: Scenario, residual: Optional[ResidualModel], desired: Callable) -> dict:
     """Roll out one mode, compute its delta trace and certificate, verify."""
-    if excitation is None:
-        desired = scn.desired
-    else:
-        def desired(x, t):
-            return np.asarray(scn.desired(x, t), dtype=float) + excitation(t)
-
     controller = FilteredController(scn.barrier, scn.nominal_system, desired,
                                     residual=residual, u_limit=scn.u_limit)
     traj = simulate(scn.true_system, controller, scn.x0, scn.duration, scn.dt)
@@ -193,15 +173,14 @@ def simulate_artifacts(cfg: dict, out_dir, model: Optional[ResidualModel] = None
     out.mkdir(parents=True, exist_ok=True)
 
     exc_cfg = scn.cfg["controller"]["excitation"]
-    excitation = None
+    desired = scn.desired
     if exc_cfg["amplitude"] > 0.0:
-        rng = np.random.default_rng(scn.seed)
-        excitation = make_excitation(exc_cfg["amplitude"], exc_cfg["hold_steps"], scn.dt,
-                                     scn.duration, scn.true_system.input_dim, rng)
+        desired = excite(scn.desired, exc_cfg["amplitude"], exc_cfg["hold_steps"], scn.dt,
+                         scn.duration, scn.true_system.input_dim, np.random.default_rng(scn.seed))
 
-    modes = {"no_learning": _mode_summary(scn, None, excitation)}
+    modes = {"no_learning": _mode_summary(scn, None, desired)}
     if model is not None:
-        modes["learned"] = _mode_summary(scn, model, excitation)
+        modes["learned"] = _mode_summary(scn, model, desired)
 
     save_config(scn.cfg, out / "resolved_config.yaml")
     for name, result in modes.items():
@@ -228,30 +207,8 @@ def learn_artifacts(cfg: dict, out_dir) -> dict:
     scn = build_scenario(cfg)
     learn = scn.cfg["learning"]
     if not learn["enabled"]:
-        from .config import ConfigError
-
         raise ConfigError("learning block is disabled in this config")
-    features = FeatureMap.from_config(learn["features"])
-    econfig = EpisodicConfig(
-        true_system=scn.true_system,
-        nominal_system=scn.nominal_system,
-        barrier=scn.barrier,
-        desired=scn.desired,
-        x0=scn.x0,
-        episodes=learn["episodes"],
-        episode_duration=learn["episode_duration"],
-        dt=scn.dt,
-        features=features,
-        ridge_lambda=learn["ridge_lambda"],
-        excitation_amplitude=learn["excitation"]["amplitude"],
-        excitation_hold_steps=learn["excitation"]["hold_steps"],
-        x0_jitter=None if learn["x0_jitter"] is None else np.asarray(learn["x0_jitter"], dtype=float),
-        noise_std=learn["noise_std"],
-        seed=scn.seed,
-        validation_duration=scn.duration,
-        u_limit=scn.u_limit,
-    )
-    model, history = episodic_train(econfig)
+    model, history = episodic_train(scn)
 
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)

@@ -23,14 +23,14 @@ from pssf.certify import (
     closed_loop_delta_trace,
     delta_bound,
     make_certificate,
-    projected_disturbance_model_error,
+    projected_disturbance,
     projected_dynamics,
     transport_inflation,
     verify_certificate,
 )
 from pssf.dynamics import ControlAffineSystem, simulate
 from pssf.kfun import Linear, Power, TabulatedMonotone, verify_class_membership
-from pssf.learning import Dataset, EpisodicConfig, FeatureMap, ResidualModel, episodic_train, fit_residual
+from pssf.learning import Dataset, FeatureMap, ResidualModel, episodic_train, fit_residual
 from pssf.scenario import build_scenario, learn_artifacts, planar_disk_demo, simulate_artifacts
 
 
@@ -118,15 +118,7 @@ class TestCriterion03LearningImprovesBound:
         # fallback: strict improvement on at least 19 of 20 seeds
         improved = 0
         for seed in range(20):
-            scn = build_scenario({"run": {"seed": seed}})
-            features = FeatureMap("polynomial", max_degree=2, indices=(1, 2, 3))
-            econfig = EpisodicConfig(
-                true_system=scn.true_system, nominal_system=scn.nominal_system,
-                barrier=scn.barrier, desired=scn.desired, x0=scn.x0,
-                episodes=5, episode_duration=10.0, dt=scn.dt, features=features,
-                ridge_lambda=1e-3, excitation_amplitude=8.0, excitation_hold_steps=20,
-                seed=seed, validation_duration=scn.duration, u_limit=scn.u_limit)
-            model, history = episodic_train(econfig)
+            model, history = episodic_train(build_scenario({"run": {"seed": seed}}))
             final = [r for r in history.records if not r.excluded][-1].validation_delta_bar
             if final < history.no_learning_delta_bar:
                 improved += 1
@@ -346,8 +338,7 @@ class TestCriterion08IdentityReduction:
             ydot_true = projected_dynamics(proj, scn.true_system, x, u)[0]
             ydot_nominal = projected_dynamics(proj, scn.nominal_system, x, u)[0]
             pipeline[j] = ydot_true - ydot_nominal
-            direct[j] = projected_disturbance_model_error(scn.barrier, scn.true_system,
-                                                          scn.nominal_system, x, u)
+            direct[j] = projected_disturbance(scn.barrier, scn.true_system, scn.nominal_system, x, u)
             worst_gap = max(worst_gap, abs(pipeline[j] - direct[j]))
         assert worst_gap <= 1e-12
 

@@ -13,8 +13,7 @@ from pssf.certify import (
     delta_bound,
     direct_transport_floor,
     make_certificate,
-    projected_disturbance_learned,
-    projected_disturbance_model_error,
+    projected_disturbance,
     projected_dynamics,
     transport_inflation,
     verify_certificate,
@@ -139,7 +138,7 @@ class TestProjectedDisturbance:
         for _ in range(20):
             x = rng.uniform([-1, -1, -0.3, -1], [1, 1, 0.3, 1])
             u = rng.normal(size=1)
-            assert projected_disturbance_model_error(scn.barrier, scn.true_system, scn.nominal_system, x, u) == 0.0
+            assert projected_disturbance(scn.barrier, scn.true_system, scn.nominal_system, x, u) == 0.0
 
     def test_equals_h_dot_difference(self):
         scn = build_scenario({})
@@ -147,7 +146,7 @@ class TestProjectedDisturbance:
         for _ in range(50):
             x = rng.uniform([-1, -1, -0.3, -1], [1, 1, 0.3, 1])
             u = rng.normal(size=1) * 20.0
-            direct = projected_disturbance_model_error(scn.barrier, scn.true_system, scn.nominal_system, x, u)
+            direct = projected_disturbance(scn.barrier, scn.true_system, scn.nominal_system, x, u)
             via_hdot = h_dot(scn.barrier, scn.true_system, x, u) - h_dot(scn.barrier, scn.nominal_system, x, u)
             assert direct == pytest.approx(via_hdot, rel=1e-9, abs=1e-12)
 
@@ -155,7 +154,7 @@ class TestProjectedDisturbance:
         scn = build_scenario({})
         x = np.array([0.0, 0.5, 0.1, 0.2])
         u = FilteredController(scn.barrier, scn.nominal_system, scn.desired)(x, 0.0)
-        value = projected_disturbance_model_error(scn.barrier, scn.true_system, scn.nominal_system, x, u)
+        value = projected_disturbance(scn.barrier, scn.true_system, scn.nominal_system, x, u)
         assert abs(value) > 1e-4
 
     def test_learned_reductions(self):
@@ -173,8 +172,8 @@ class TestProjectedDisturbance:
         for _ in range(20):
             x = rng.uniform([-1, -1, -0.3, -1], [1, 1, 0.3, 1])
             u = rng.normal(size=1) * 10.0
-            learned = projected_disturbance_learned(scn.barrier, scn.nominal_system, zero_model, scn.true_system, x, u)
-            plain = projected_disturbance_model_error(scn.barrier, scn.true_system, scn.nominal_system, x, u)
+            learned = projected_disturbance(scn.barrier, scn.true_system, scn.nominal_system, x, u, residual=zero_model)
+            plain = projected_disturbance(scn.barrier, scn.true_system, scn.nominal_system, x, u)
             assert learned == pytest.approx(plain, rel=1e-12)
 
     def test_perfect_estimator_gives_zero(self):
@@ -191,7 +190,8 @@ class TestProjectedDisturbance:
         for _ in range(20):
             x = rng.uniform([-1, -1, -0.3, -1], [1, 1, 0.3, 1])
             u = rng.normal(size=1) * 10.0
-            value = projected_disturbance_learned(scn.barrier, scn.nominal_system, PerfectResidual(), scn.true_system, x, u)
+            value = projected_disturbance(scn.barrier, scn.true_system, scn.nominal_system, x, u,
+                                          residual=PerfectResidual())
             assert value == pytest.approx(0.0, abs=1e-9)
 
 

@@ -50,6 +50,8 @@ class TestConfigValidation:
             validate_config({"run": {"dt": "fast"}})
         with pytest.raises(ConfigError):
             validate_config({"run": {"dt": -1.0}})
+        with pytest.raises(ConfigError):
+            validate_config({"run": {"duration": 0.0}})
 
     def test_bad_alpha_family(self):
         with pytest.raises(ConfigError, match="alpha"):

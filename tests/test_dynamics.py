@@ -354,3 +354,12 @@ class TestTrajectoryCsv:
         assert rows[2][3] == ""
         # 17 significant digits round-trip exactly
         assert float(rows[0][3]) == 1.0 / 3.0
+
+    def test_zero_step_header_keeps_input_dim(self, tmp_path):
+        system = ControlAffineSystem(2, 2, drift=lambda x: np.zeros(2), actuation=lambda x: np.eye(2))
+        traj = simulate(system, lambda x, t: np.zeros(2), np.array([0.1, 0.2]), 0.0, 1e-3)
+        path = tmp_path / "traj.csv"
+        traj.to_csv(path)
+        header, rows = read_csv(path)
+        assert header == ["t", "x1", "x2", "u1", "u2"]
+        assert len(rows) == 1 and rows[0][3:] == ["", ""]

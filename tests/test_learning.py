@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -7,7 +8,6 @@ from pssf.barrier import FilteredController
 from pssf.dynamics import ControlAffineSystem
 from pssf.learning import (
     Dataset,
-    EpisodicConfig,
     EpisodicTrainingError,
     FeatureMap,
     NoiseSpec,
@@ -154,6 +154,7 @@ class TestFitResidual:
         features = FeatureMap("polynomial", max_degree=2, indices=(1, 2, 3))
         ds, _, _ = make_dataset(rng, features, 40, m=2)
         model = fit_residual(ds, features, 1e-4)
+        assert not model.ill_conditioned
         for _ in range(20):
             x = rng.uniform(-1, 1, size=4)
             u1, u2 = rng.normal(size=2), rng.normal(size=2)
@@ -288,61 +289,56 @@ class TestCollectEpisode:
 
 
 class TestEpisodicTrain:
-    def _config(self, scn, **overrides):
-        base = dict(
-            true_system=scn.true_system,
-            nominal_system=scn.nominal_system,
-            barrier=scn.barrier,
-            desired=scn.desired,
-            x0=scn.x0,
-            episodes=1,
-            episode_duration=0.5,
-            dt=1e-3,
-            features=FeatureMap("polynomial", max_degree=2, indices=(1, 2, 3)),
-            ridge_lambda=1e-3,
-            excitation_amplitude=8.0,
-            excitation_hold_steps=20,
-            seed=0,
-            validation_duration=0.5,
-            u_limit=scn.u_limit,
-        )
-        base.update(overrides)
-        return EpisodicConfig(**base)
+    def _scenario(self, cfg=None, **learning):
+        """Benchmark scenario with short episodes and 0.5 s validation rollouts."""
+        cfg = dict(cfg or {})
+        cfg["learning"] = {"episodes": 1, "episode_duration": 0.5, **learning}
+        cfg["run"] = {"duration": 0.5}
+        return build_scenario(cfg)
 
     def test_single_episode_equals_collect_then_fit(self):
-        scn = build_scenario({})
-        model, history = episodic_train(self._config(scn))
+        model, history = episodic_train(self._scenario())
         assert len(history.records) == 1
         assert history.records[0].episode == 0
         assert np.isfinite(history.records[0].validation_delta_bar)
         assert model.training_rms == history.records[0].training_rms
 
     def test_determinism(self):
-        scn = build_scenario({})
-        m1, h1 = episodic_train(self._config(scn, episodes=2))
-        m2, h2 = episodic_train(self._config(scn, episodes=2))
+        scn = self._scenario(episodes=2)
+        m1, h1 = episodic_train(scn)
+        m2, h2 = episodic_train(scn)
         assert np.array_equal(m1.w_b, m2.w_b)
         assert np.array_equal(m1.W_a, m2.W_a)
         assert [r.validation_delta_bar for r in h1.records] == [r.validation_delta_bar for r in h2.records]
 
+    def test_x0_jitter_and_noise_are_seeded(self):
+        scn = self._scenario(episodes=2, x0_jitter=[0.01, 0.01, 0.01, 0.01], noise_std=1e-3)
+        m1, h1 = episodic_train(scn)
+        m2, h2 = episodic_train(scn)
+        assert np.array_equal(m1.w_b, m2.w_b)
+        assert np.array_equal(m1.W_a, m2.W_a)
+        assert [r.validation_delta_bar for r in h1.records] == [r.validation_delta_bar for r in h2.records]
+        plain, _ = episodic_train(self._scenario(episodes=2))
+        assert not np.array_equal(m1.w_b, plain.w_b)
+        assert not np.array_equal(m1.W_a, plain.W_a)
+
     def test_all_episodes_failing_aborts(self):
-        scn = build_scenario({})
+        scn = self._scenario()
         exploding = ControlAffineSystem(
             4, 1,
             drift=lambda x: np.full(4, 1e9),
             actuation=scn.true_system.actuation,
         )
-        cfg = self._config(scn)
-        cfg.true_system = exploding
         with pytest.raises(EpisodicTrainingError):
-            episodic_train(cfg)
+            episodic_train(dataclasses.replace(scn, true_system=exploding))
 
     def test_perfect_model_fixed_point(self):
         # identity perturbation: the zero model already predicts the true
         # residual exactly; episodes must leave validation delta_bar at the
         # level set by finite-difference discretization noise in the fit
-        scn = build_scenario({"system": {"perturbation": {"scale": {}, "drop_friction": False}}})
-        model, history = episodic_train(self._config(scn, episodes=2, episode_duration=1.0))
+        scn = self._scenario({"system": {"perturbation": {"scale": {}, "drop_friction": False}}},
+                             episodes=2, episode_duration=1.0)
+        model, history = episodic_train(scn)
         controller = FilteredController(scn.barrier, scn.nominal_system, scn.desired, u_limit=scn.u_limit)
         ds = collect_episode(scn.true_system, scn.nominal_system, scn.barrier, controller, scn.x0, 1.0, 1e-3)
         discretization_floor = float(np.max(np.abs(ds.targets())))
@@ -350,8 +346,7 @@ class TestEpisodicTrain:
             assert record.validation_delta_bar <= 100.0 * max(discretization_floor, 1e-12)
 
     def test_history_csv(self, tmp_path):
-        scn = build_scenario({})
-        _, history = episodic_train(self._config(scn, episodes=2))
+        _, history = episodic_train(self._scenario(episodes=2))
         path = tmp_path / "episodes.csv"
         history.to_csv(path)
         from pssf.ioutil import read_csv
