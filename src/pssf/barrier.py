@@ -157,7 +157,8 @@ class FilteredController:
         self.u_limit = u_limit
         # Monitor whether the (possibly learned) barrier condition ever became
         # unenforceable, and how often the clamp overrode the filtered input;
-        # the filter itself never aborts.
+        # the filter itself never aborts. Scenario.rollout builds a controller
+        # per rollout, so these count one rollout.
         self.infeasible_count = 0
         self.clamped_count = 0
 

@@ -23,10 +23,6 @@ from .dynamics import ControlAffineSystem, Trajectory, finite_difference_jacobia
 from .ioutil import write_csv
 from .kfun import ComparisonFunction, Linear, compose
 
-MODE_MODEL_ERROR = "model_error"
-MODE_LEARNED = "learned_residual"
-
-
 @dataclass(frozen=True)
 class Projection:
     """Continuously differentiable map y = P(x) with analytic Jacobian.
@@ -73,7 +69,6 @@ class DeltaTrace:
 
     times: np.ndarray
     delta: np.ndarray
-    mode: str
 
     def __post_init__(self):
         if len(self.times) != len(self.delta):
@@ -209,8 +204,7 @@ def closed_loop_delta_trace(
     deltas = np.empty(len(traj.inputs))
     for j in range(len(traj.inputs)):
         deltas[j] = projected_disturbance(bar, true_sys, nominal_sys, traj.states[j], traj.inputs[j], residual)
-    mode = MODE_MODEL_ERROR if residual is None else MODE_LEARNED
-    return DeltaTrace(times=traj.times[:-1].copy(), delta=deltas, mode=mode)
+    return DeltaTrace(times=traj.times[:-1].copy(), delta=deltas)
 
 
 def delta_bound(trace: DeltaTrace) -> float:
@@ -218,11 +212,10 @@ def delta_bound(trace: DeltaTrace) -> float:
 
     The continuous-time quantity is an essential supremum; the sampled max
     is the documented approximation, with convergence under dt refinement
-    exercised by the acceptance suite.
+    exercised by the acceptance suite. The sup over no samples is 0 (a
+    rollout that ends on its first step); its run reports early termination.
     """
-    if len(trace.delta) == 0:
-        raise ValueError("delta trace is empty")
-    return float(np.max(np.abs(trace.delta)))
+    return float(np.max(np.abs(trace.delta), initial=0.0))
 
 
 def make_certificate(alpha: ComparisonFunction, delta_bar: float) -> PssfCertificate:

@@ -176,6 +176,10 @@ SCHEMA = {
     },
 }
 
+# Built and checked against its metaschema once: jsonschema.validate repeats that check on every call.
+_VALIDATOR = jsonschema.validators.validator_for(SCHEMA)(SCHEMA)
+_VALIDATOR.check_schema(SCHEMA)
+
 
 # Blocks whose keys form one value (a scaling map, a function family spec):
 # a user override replaces them wholesale instead of merging with defaults.
@@ -202,11 +206,10 @@ def validate_config(user: dict) -> dict:
     if not isinstance(user, dict):
         raise ConfigError(f"config must be a mapping, got {type(user).__name__}")
     resolved = _deep_merge(DEFAULT_CONFIG, user)
-    try:
-        jsonschema.validate(resolved, SCHEMA)
-    except jsonschema.ValidationError as exc:
-        path = ".".join(str(p) for p in exc.absolute_path) or "<root>"
-        raise ConfigError(f"config error at {path}: {exc.message}") from exc
+    error = jsonschema.exceptions.best_match(_VALIDATOR.iter_errors(resolved))
+    if error is not None:
+        path = ".".join(str(p) for p in error.absolute_path) or "<root>"
+        raise ConfigError(f"config error at {path}: {error.message}") from error
 
     # The alpha block has family-specific keys; the comparison-function
     # parser is the authority on those.

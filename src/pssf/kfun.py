@@ -310,9 +310,6 @@ def probe_unboundedness(alpha: ComparisonFunction) -> bool:
     return all(v2 > v1 for v1, v2 in zip(vals, vals[1:]))
 
 
-_FAMILY_TAGS = {"linear": Linear, "power": Power}
-
-
 def to_config(alpha: ComparisonFunction) -> dict:
     """Serialize to the scenario-config form (named family + parameters)."""
     if isinstance(alpha, Linear):

@@ -17,10 +17,10 @@ from typing import TYPE_CHECKING, Callable, Optional, Sequence, Union
 
 import numpy as np
 
-from .barrier import BarrierFunction, FilteredController, h_dot
-from .certify import closed_loop_delta_trace, delta_bound
-from .dynamics import ControlAffineSystem, simulate
-from .ioutil import read_csv, read_json, write_csv, write_json
+from .barrier import h_dot
+from .certify import delta_bound
+from .dynamics import Trajectory
+from .ioutil import read_json, write_csv, write_json
 
 if TYPE_CHECKING:
     from .scenario import Scenario
@@ -187,9 +187,7 @@ class Dataset:
     hdot_target: np.ndarray
     hdot_nominal: np.ndarray
     episode_ids: np.ndarray
-    times: np.ndarray
     hdot_exact: Optional[np.ndarray] = None
-    terminated_reason: Optional[str] = None
 
     def __len__(self) -> int:
         return len(self.hdot_target)
@@ -209,59 +207,21 @@ class Dataset:
             hdot_target=np.concatenate([d.hdot_target for d in datasets]),
             hdot_nominal=np.concatenate([d.hdot_nominal for d in datasets]),
             episode_ids=np.concatenate([d.episode_ids for d in datasets]),
-            times=np.concatenate([d.times for d in datasets]),
             hdot_exact=exact,
         )
 
-    def to_csv(self, path) -> None:
-        n = self.states.shape[1]
-        m = self.inputs.shape[1]
-        header = (["episode", "t"] + [f"x{i + 1}" for i in range(n)]
-                  + [f"u{i + 1}" for i in range(m)] + ["hdot_target", "hdot_nominal"])
-        rows = (
-            [int(self.episode_ids[j]), self.times[j], *self.states[j], *self.inputs[j],
-             self.hdot_target[j], self.hdot_nominal[j]]
-            for j in range(len(self))
-        )
-        write_csv(path, header, rows)
 
-    @classmethod
-    def from_csv(cls, path) -> "Dataset":
-        header, rows = read_csv(path)
-        n = sum(1 for name in header if name.startswith("x"))
-        m = sum(1 for name in header if name.startswith("u"))
-        data = np.array([[float(v) for v in row] for row in rows])
-        return cls(
-            states=data[:, 2:2 + n],
-            inputs=data[:, 2 + n:2 + n + m],
-            hdot_target=data[:, 2 + n + m],
-            hdot_nominal=data[:, 2 + n + m + 1],
-            episode_ids=data[:, 0].astype(int),
-            times=data[:, 1],
-        )
-
-
-def collect_episode(
-    true_sys: ControlAffineSystem,
-    nominal_sys: ControlAffineSystem,
-    bar: BarrierFunction,
-    controller: Callable[[np.ndarray, float], np.ndarray],
-    x0: np.ndarray,
-    duration: float,
-    dt: float,
-    noise: Optional[NoiseSpec] = None,
-    episode_id: int = 0,
-) -> Dataset:
-    """Roll out on the true system and build finite-difference targets.
+def collect_episode(scn: "Scenario", traj: Trajectory, noise: Optional[NoiseSpec] = None,
+                    episode_id: int = 0) -> Dataset:
+    """Regression rows from a rollout already recorded on the scenario's plant.
 
     hdot_target at step j is the central difference
-    (h(y[j+1]) - h(y[j-1])) / (2 dt) on the measured states y (forward
-    difference at j = 0, which has no left neighbor); hdot_nominal is the
-    model's hdot at the recorded (x[j], u[j]). The exact true hdot is kept
-    alongside for diagnostics. Early termination propagates via
-    ``terminated_reason``.
+    (h(y[j+1]) - h(y[j-1])) / (2 dt) on the measured states y, the recorded
+    states plus ``noise`` if given (forward difference at j = 0, which has no
+    left neighbor); hdot_nominal is the design model's hdot at the recorded
+    (x[j], u[j]). The plant's exact hdot is kept alongside for diagnostics.
     """
-    traj = simulate(true_sys, controller, x0, duration, dt)
+    bar, dt = scn.barrier, scn.dt
     measured = traj.states
     if noise is not None:
         std = np.broadcast_to(np.asarray(noise.std, dtype=float), traj.states.shape[1:])
@@ -277,8 +237,8 @@ def collect_episode(
             target[j] = (h_meas[1] - h_meas[0]) / dt
         else:
             target[j] = (h_meas[j + 1] - h_meas[j - 1]) / (2.0 * dt)
-        nominal[j] = h_dot(bar, nominal_sys, traj.states[j], traj.inputs[j])
-        exact[j] = h_dot(bar, true_sys, traj.states[j], traj.inputs[j])
+        nominal[j] = h_dot(bar, scn.nominal_system, traj.states[j], traj.inputs[j])
+        exact[j] = h_dot(bar, scn.true_system, traj.states[j], traj.inputs[j])
 
     return Dataset(
         states=traj.states[:n_rows].copy(),
@@ -286,9 +246,7 @@ def collect_episode(
         hdot_target=target,
         hdot_nominal=nominal,
         episode_ids=np.full(n_rows, episode_id, dtype=int),
-        times=traj.times[:n_rows].copy(),
         hdot_exact=exact,
-        terminated_reason=traj.termination_reason,
     )
 
 
@@ -437,13 +395,12 @@ def excite(
 def episodic_train(scn: "Scenario") -> tuple[ResidualModel, EpisodeHistory]:
     """Collect / refit / redeploy loop on a built scenario.
 
-    From the Scenario it reads the plant (true_system), the design model
-    (nominal_system), barrier, desired controller, x0, dt, seed and u_limit;
-    from ``scn.cfg["learning"]`` it reads episodes, episode_duration,
+    Collection and validation rollouts both run through ``scn.rollout``.
+    From ``scn.cfg["learning"]`` it reads episodes, episode_duration,
     features, ridge_lambda, excitation (amplitude, hold_steps), x0_jitter
     and noise_std. One generator seeded with ``scn.seed`` draws, per
-    episode and in this order, the x0 jitter, the excitation and the
-    measurement noise.
+    episode and in this order, the x0 jitter, the excitation and (after the
+    rollout) the measurement noise.
 
     Episode 0 runs the filter without residual terms; after each episode the
     model is refit on all data aggregated so far and used by the filter in
@@ -458,11 +415,8 @@ def episodic_train(scn: "Scenario") -> tuple[ResidualModel, EpisodeHistory]:
     rng = np.random.default_rng(scn.seed)
 
     def validation_delta(residual) -> float:
-        controller = FilteredController(scn.barrier, scn.nominal_system, scn.desired,
-                                        residual=residual, u_limit=scn.u_limit)
-        traj = simulate(scn.true_system, controller, scn.x0, scn.duration, scn.dt)
-        trace = closed_loop_delta_trace(traj, scn.barrier, scn.true_system, scn.nominal_system, residual=residual)
-        return delta_bound(trace)
+        traj, _ = scn.rollout(residual)
+        return delta_bound(scn.delta_trace(traj, residual))
 
     baseline = validation_delta(None)
 
@@ -475,13 +429,11 @@ def episodic_train(scn: "Scenario") -> tuple[ResidualModel, EpisodeHistory]:
             x0_e = x0_e + rng.normal(size=x0_e.shape) * np.asarray(learn["x0_jitter"], dtype=float)
         desired = excite(scn.desired, learn["excitation"]["amplitude"], learn["excitation"]["hold_steps"],
                          scn.dt, learn["episode_duration"], scn.true_system.input_dim, rng)
-        controller = FilteredController(scn.barrier, scn.nominal_system, desired,
-                                        residual=model, u_limit=scn.u_limit)
+        traj, controller = scn.rollout(model, desired=desired, x0=x0_e, duration=learn["episode_duration"])
         noise = NoiseSpec(learn["noise_std"], rng) if learn["noise_std"] is not None else None
-        ds = collect_episode(scn.true_system, scn.nominal_system, scn.barrier, controller,
-                             x0_e, learn["episode_duration"], scn.dt, noise=noise, episode_id=e)
-        if ds.terminated_reason is not None:
-            records.append(EpisodeRecord(e, len(ds), math.nan, math.nan, excluded=True, reason=ds.terminated_reason))
+        ds = collect_episode(scn, traj, noise=noise, episode_id=e)  # draws the noise even if excluded
+        if traj.terminated_early:
+            records.append(EpisodeRecord(e, len(ds), math.nan, math.nan, excluded=True, reason=traj.termination_reason))
             continue
 
         collected.append(ds)

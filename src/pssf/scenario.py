@@ -18,6 +18,7 @@ from . import kfun
 from .barrier import BarrierFunction, FilteredController
 from .certify import (
     CompatiblePair,
+    DeltaTrace,
     Projection,
     certificate_json,
     closed_loop_delta_trace,
@@ -31,6 +32,7 @@ from .dynamics import (
     DisturbanceSignal,
     PerturbationSpec,
     SegwayParams,
+    Trajectory,
     segway_nominal,
     segway_true,
     simulate,
@@ -72,20 +74,40 @@ def pd_pitch_controller(kp: float, kd: float, amplitude: float, frequency: float
 
 @dataclass
 class Scenario:
-    """Config-built pieces of the benchmark closed loop."""
+    """Config-built benchmark closed loop; ``simulate``, ``learn`` and ``sweep`` run every rollout through it.
+
+    :meth:`rollout` runs the plant under the min-norm filter on the design
+    model, and :meth:`delta_trace` evaluates delta along what it recorded.
+    """
 
     cfg: dict
-    params: SegwayParams
     true_system: ControlAffineSystem
     nominal_system: ControlAffineSystem
     barrier: BarrierFunction
-    alpha: kfun.ComparisonFunction
     desired: Callable
     x0: np.ndarray
     duration: float
     dt: float
     seed: int
     u_limit: float
+
+    def rollout(self, residual: Optional[ResidualModel] = None, desired: Optional[Callable] = None,
+                x0: Optional[np.ndarray] = None,
+                duration: Optional[float] = None) -> tuple[Trajectory, FilteredController]:
+        """Filtered closed loop on the plant at ``self.dt``; None takes the scenario's desired, x0 or duration.
+
+        The controller is fresh per call, so its infeasible and clamped counts cover this rollout only.
+        """
+        controller = FilteredController(self.barrier, self.nominal_system,
+                                        self.desired if desired is None else desired,
+                                        residual=residual, u_limit=self.u_limit)
+        traj = simulate(self.true_system, controller, self.x0 if x0 is None else x0,
+                        self.duration if duration is None else duration, self.dt)
+        return traj, controller
+
+    def delta_trace(self, traj: Trajectory, residual: Optional[ResidualModel] = None) -> DeltaTrace:
+        """Projected disturbance along a recorded rollout, net of the residual's prediction if given."""
+        return closed_loop_delta_trace(traj, self.barrier, self.true_system, self.nominal_system, residual=residual)
 
 
 def build_scenario(cfg: dict) -> Scenario:
@@ -96,19 +118,17 @@ def build_scenario(cfg: dict) -> Scenario:
         scale=dict(sys_cfg["perturbation"]["scale"]),
         drop_friction=sys_cfg["perturbation"]["drop_friction"],
     )
-    alpha = kfun.from_config(cfg["barrier"]["alpha"])
-    bar = ellipse_pitch_barrier(cfg["barrier"]["pitch_max"], cfg["barrier"]["pitch_rate_max"], alpha)
+    bar = ellipse_pitch_barrier(cfg["barrier"]["pitch_max"], cfg["barrier"]["pitch_rate_max"],
+                                kfun.from_config(cfg["barrier"]["alpha"]))
     ctl = cfg["controller"]
     desired = pd_pitch_controller(ctl["kp"], ctl["kd"], ctl["reference"]["amplitude"],
                                   ctl["reference"]["frequency"])
     run = cfg["run"]
     return Scenario(
         cfg=cfg,
-        params=params,
         true_system=segway_true(params),
         nominal_system=segway_nominal(params, perturbation),
         barrier=bar,
-        alpha=alpha,
         desired=desired,
         x0=np.asarray(run["x0"], dtype=float),
         duration=run["duration"],
@@ -136,12 +156,10 @@ def model_error_drift_sup(scn: Scenario, samples: int = 1000) -> float:
 
 def _mode_summary(scn: Scenario, residual: Optional[ResidualModel], desired: Callable) -> dict:
     """Roll out one mode, compute its delta trace and certificate, verify."""
-    controller = FilteredController(scn.barrier, scn.nominal_system, desired,
-                                    residual=residual, u_limit=scn.u_limit)
-    traj = simulate(scn.true_system, controller, scn.x0, scn.duration, scn.dt)
-    trace = closed_loop_delta_trace(traj, scn.barrier, scn.true_system, scn.nominal_system, residual=residual)
+    traj, controller = scn.rollout(residual, desired=desired)
+    trace = scn.delta_trace(traj, residual)
     dbar = delta_bound(trace)
-    cert = make_certificate(scn.alpha, dbar)
+    cert = make_certificate(scn.barrier.alpha, dbar)
     report = verify_certificate(traj, scn.barrier, cert)
     return {
         "trajectory": traj,
@@ -193,7 +211,7 @@ def simulate_artifacts(cfg: dict, out_dir, model: Optional[ResidualModel] = None
         "duration": scn.duration,
         "dt": scn.dt,
         "seed": scn.seed,
-        "k": scn.alpha.k if isinstance(scn.alpha, kfun.Linear) else None,
+        "k": scn.barrier.alpha.k if isinstance(scn.barrier.alpha, kfun.Linear) else None,
         "model_error_drift_sup": model_error_drift_sup(scn),
         "no_learning": modes["no_learning"]["summary"],
         "learned": modes["learned"]["summary"] if model is not None else None,

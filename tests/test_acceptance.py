@@ -20,7 +20,6 @@ from pssf.certify import (
     CompatiblePair,
     Projection,
     check_compatibility,
-    closed_loop_delta_trace,
     delta_bound,
     make_certificate,
     projected_disturbance,
@@ -75,9 +74,7 @@ class TestCriterion01UndisturbedInvariance:
                 radius * np.sin(angle) * 1.0,
             ])
             assert scn.barrier.h(x0) >= 0.0
-            controller = FilteredController(scn.barrier, scn.nominal_system, scn.desired,
-                                            u_limit=scn.u_limit)
-            traj = simulate(scn.true_system, controller, x0, scn.duration, scn.dt)
+            traj, _ = scn.rollout(x0=x0)
             assert not traj.terminated_early
             worst = min(worst, min(scn.barrier.h(x) for x in traj.states))
         elapsed = time.monotonic() - start
@@ -133,12 +130,9 @@ class TestCriterion03LearningImprovesBound:
         # of on-trajectory samples
         scn = build_scenario({})
         model = benchmark_training["model"]
-        controller = FilteredController(scn.barrier, scn.nominal_system, scn.desired,
-                                        residual=model, u_limit=scn.u_limit)
-        traj = simulate(scn.true_system, controller, scn.x0, scn.duration, scn.dt)
-        learned = closed_loop_delta_trace(traj, scn.barrier, scn.true_system, scn.nominal_system,
-                                          residual=model)
-        plain = closed_loop_delta_trace(traj, scn.barrier, scn.true_system, scn.nominal_system)
+        traj, _ = scn.rollout(model)
+        learned = scn.delta_trace(traj, model)
+        plain = scn.delta_trace(traj)
         fraction = float(np.mean(np.abs(learned.delta) < np.abs(plain.delta)))
         assert fraction >= 0.9
         report("criterion 3 supplement (pointwise reduction)",
@@ -247,8 +241,7 @@ class TestCriterion06RegressionOracle:
             features.fit_normalization(states)
             inputs = rng.normal(size=(n_rows, 1))
             targets = rng.normal(size=n_rows)
-            ds = Dataset(states, inputs, targets, np.zeros(n_rows),
-                         np.zeros(n_rows, dtype=int), np.arange(n_rows) * 1e-3)
+            ds = Dataset(states, inputs, targets, np.zeros(n_rows), np.zeros(n_rows, dtype=int))
             lam = float(rng.uniform(1e-6, 1.0))
             model = fit_residual(ds, features, lam)
             phi = features.batch(states)
@@ -274,8 +267,7 @@ class TestCriterion06RegressionOracle:
             float(w_b @ features(states[j])) + float((W_a @ features(states[j])) @ inputs[j])
             for j in range(len(states))
         ])
-        ds = Dataset(states, inputs, targets, np.zeros(len(states)),
-                     np.zeros(len(states), dtype=int), np.arange(len(states)) * 1e-3)
+        ds = Dataset(states, inputs, targets, np.zeros(len(states)), np.zeros(len(states), dtype=int))
         model = fit_residual(ds, features, 1e-10)
         true = np.concatenate([w_b, W_a.ravel()])
         got = np.concatenate([model.w_b, model.W_a.ravel()])
@@ -313,9 +305,7 @@ class TestCriterion07ClassKAlgebra:
 class TestCriterion08IdentityReduction:
     def test_pipeline_matches_direct_computation(self):
         scn = build_scenario({})
-        controller = FilteredController(scn.barrier, scn.nominal_system, scn.desired,
-                                        u_limit=scn.u_limit)
-        traj = simulate(scn.true_system, controller, scn.x0, scn.duration, scn.dt)
+        traj, _ = scn.rollout()
 
         proj = Projection(map=lambda x: np.array([scn.barrier.h(x)]),
                           jacobian=lambda x: scn.barrier.grad_h(x).reshape(1, -1),
@@ -342,8 +332,8 @@ class TestCriterion08IdentityReduction:
             worst_gap = max(worst_gap, abs(pipeline[j] - direct[j]))
         assert worst_gap <= 1e-12
 
-        cert_pipeline = make_certificate(scn.alpha, float(np.max(np.abs(pipeline))))
-        cert_direct = make_certificate(scn.alpha, float(np.max(np.abs(direct))))
+        cert_pipeline = make_certificate(scn.barrier.alpha, float(np.max(np.abs(pipeline))))
+        cert_direct = make_certificate(scn.barrier.alpha, float(np.max(np.abs(direct))))
         assert abs(cert_pipeline.floor - cert_direct.floor) <= 1e-12
         assert abs(cert_pipeline.delta_bar - cert_direct.delta_bar) <= 1e-12
         report("criterion 8 (identity-projection reduction)",
@@ -420,12 +410,9 @@ class TestCriterion11DtRefinement:
         values = {}
         for dt in (1e-2, 1e-3, 1e-4):
             scn = build_scenario({"run": {"dt": dt}})
-            controller = FilteredController(scn.barrier, scn.nominal_system, scn.desired,
-                                            u_limit=scn.u_limit)
-            traj = simulate(scn.true_system, controller, scn.x0, scn.duration, dt)
+            traj, _ = scn.rollout()
             assert not traj.terminated_early
-            trace = closed_loop_delta_trace(traj, scn.barrier, scn.true_system, scn.nominal_system)
-            values[dt] = delta_bound(trace)
+            values[dt] = delta_bound(scn.delta_trace(traj))
         rel_change = abs(values[1e-3] - values[1e-4]) / values[1e-4]
         assert rel_change < 0.05
         report("criterion 11 (dt refinement)",

@@ -12,7 +12,7 @@ from pssf.barrier import (
     issf_margin,
     safety_filter,
 )
-from pssf.dynamics import ControlAffineSystem, simulate
+from pssf.dynamics import ControlAffineSystem
 from pssf.kfun import Linear, Power
 from pssf.scenario import build_scenario
 
@@ -290,8 +290,7 @@ class TestFilterConsistency:
             radius = 0.6 * np.sqrt(rng.uniform())
             x0 = np.array([0.0, rng.uniform(-0.5, 0.5),
                            radius * np.cos(angle) * 0.3, radius * np.sin(angle) * 1.0])
-            controller = FilteredController(scn.barrier, scn.nominal_system, scn.desired, u_limit=scn.u_limit)
-            traj = simulate(scn.true_system, controller, x0, scn.duration, scn.dt)
+            traj, _ = scn.rollout(x0=x0)
             h_min = min(scn.barrier.h(x) for x in traj.states)
             assert h_min >= -1e-6
 

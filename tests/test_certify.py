@@ -5,11 +5,9 @@ from pssf.barrier import BarrierFunction, FilteredController, h_dot
 from pssf.certify import (
     CompatiblePair,
     DeltaTrace,
-    MODE_MODEL_ERROR,
     Projection,
     check_compatibility,
     check_jacobian,
-    closed_loop_delta_trace,
     delta_bound,
     direct_transport_floor,
     make_certificate,
@@ -18,7 +16,7 @@ from pssf.certify import (
     transport_inflation,
     verify_certificate,
 )
-from pssf.dynamics import ControlAffineSystem, Trajectory, simulate
+from pssf.dynamics import ControlAffineSystem, Trajectory
 from pssf.ioutil import read_csv
 from pssf.kfun import Linear, NotInvertibleError, Power, compose
 from pssf.learning import FeatureMap, ResidualModel
@@ -197,15 +195,15 @@ class TestProjectedDisturbance:
 
 class TestDeltaTraceAndBound:
     def test_zero_trace(self):
-        trace = DeltaTrace(times=np.zeros(3), delta=np.zeros(3), mode=MODE_MODEL_ERROR)
+        trace = DeltaTrace(times=np.zeros(3), delta=np.zeros(3))
         assert delta_bound(trace) == 0.0
 
     def test_max_abs(self):
-        trace = DeltaTrace(times=np.arange(3.0), delta=np.array([0.1, -0.3, 0.2]), mode=MODE_MODEL_ERROR)
+        trace = DeltaTrace(times=np.arange(3.0), delta=np.array([0.1, -0.3, 0.2]))
         assert delta_bound(trace) == 0.3
 
     def test_csv_export(self, tmp_path):
-        trace = DeltaTrace(times=np.array([0.0, 0.1]), delta=np.array([0.5, -1.25]), mode=MODE_MODEL_ERROR)
+        trace = DeltaTrace(times=np.array([0.0, 0.1]), delta=np.array([0.5, -1.25]))
         trace.to_csv(tmp_path / "delta.csv")
         header, rows = read_csv(tmp_path / "delta.csv")
         assert header == ["t", "abs_delta"]
@@ -213,7 +211,7 @@ class TestDeltaTraceAndBound:
 
     def test_non_finite_rejected(self):
         with pytest.raises(ValueError):
-            DeltaTrace(times=np.zeros(1), delta=np.array([np.nan]), mode=MODE_MODEL_ERROR)
+            DeltaTrace(times=np.zeros(1), delta=np.array([np.nan]))
 
 
 class TestCertificate:
@@ -301,11 +299,10 @@ class TestVerifyCertificate:
     def test_perfect_model_run_reduces_to_plain_safety(self):
         cfg = {"system": {"perturbation": {"scale": {}, "drop_friction": False}}, "run": {"duration": 1.0}}
         scn = build_scenario(cfg)
-        controller = FilteredController(scn.barrier, scn.nominal_system, scn.desired, u_limit=scn.u_limit)
-        traj = simulate(scn.true_system, controller, np.array([0.0, 0.0, 0.05, 0.0]), 1.0, 1e-3)
-        trace = closed_loop_delta_trace(traj, scn.barrier, scn.true_system, scn.nominal_system)
+        traj, _ = scn.rollout(x0=np.array([0.0, 0.0, 0.05, 0.0]))
+        trace = scn.delta_trace(traj)
         assert delta_bound(trace) == 0.0
-        cert = make_certificate(scn.alpha, delta_bound(trace))
+        cert = make_certificate(scn.barrier.alpha, delta_bound(trace))
         report = verify_certificate(traj, scn.barrier, cert)
         assert report.status == "pass"
         assert report.min_h >= -1e-6

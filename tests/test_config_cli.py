@@ -9,6 +9,8 @@ import yaml
 from pssf.cli import main
 from pssf.config import ConfigError, DEFAULT_CONFIG, load_config, save_config, set_by_path, validate_config
 from pssf.ioutil import read_csv
+from pssf.learning import ResidualModel
+from pssf.scenario import build_scenario
 
 REPO_ROOT = Path(__file__).resolve().parents[1]
 
@@ -33,6 +35,10 @@ def fast_overrides(**extra):
     return cfg
 
 
+# The rollout blows up on its first step, so it records no delta sample.
+ZERO_STEP_RUN = {"run": {"x0": [0.0, 0.0, 0.0, 1.0e9], "duration": 0.01}}
+
+
 class TestConfigValidation:
     def test_empty_config_resolves_to_defaults(self):
         assert validate_config({}) == DEFAULT_CONFIG
@@ -52,6 +58,8 @@ class TestConfigValidation:
             validate_config({"run": {"dt": -1.0}})
         with pytest.raises(ConfigError):
             validate_config({"run": {"duration": 0.0}})
+        with pytest.raises(ConfigError, match="run.seed"):
+            validate_config({"run": {"dt": -1.0, "seed": "x"}})
 
     def test_bad_alpha_family(self):
         with pytest.raises(ConfigError, match="alpha"):
@@ -164,12 +172,33 @@ class TestSimulateCommand:
         code = main(["simulate", "--config", str(path), "--out", str(tmp_path / "out")])
         assert code == 3
 
+    def test_rollout_ending_on_first_step_exit_code(self, tmp_path):
+        path = write_cfg(tmp_path, ZERO_STEP_RUN)
+        out = tmp_path / "out"
+        assert main(["simulate", "--config", str(path), "--out", str(out)]) == 3
+        summary = json.loads((out / "summary.json").read_text())
+        assert summary["no_learning"]["terminated_early"]
+        assert summary["no_learning"]["status"] == "precondition_violated"
+
     def test_resolved_config_written_and_valid(self, tmp_path):
         path = write_cfg(tmp_path, fast_overrides())
         out = tmp_path / "out"
         main(["simulate", "--config", str(path), "--out", str(out)])
         resolved = load_config(out / "resolved_config.yaml")
         assert resolved["run"]["duration"] == 1.0
+
+
+class TestScenarioRollout:
+    def test_counters_cover_one_rollout(self):
+        # The learned-mode clamp count of test_clamped_steps_reported, twice:
+        # every rollout gets its own controller, so counts do not accumulate.
+        scn = build_scenario({"run": {"duration": 3.0}})
+        model = ResidualModel.load(REPO_ROOT / "perfbench" / "inputs" / "model_seed0.json")
+        _, first = scn.rollout(model)
+        _, second = scn.rollout(model)
+        assert first is not second
+        assert first.clamped_count == 2
+        assert second.clamped_count == 2
 
 
 class TestLearnCommand:
@@ -190,6 +219,12 @@ class TestLearnCommand:
         assert main(["learn", "--config", str(path), "--out", str(out)]) == 0
         _, rows = read_csv(out / "episodes.csv")
         assert len(rows) == 1
+
+    def test_episodes_ending_on_first_step_exit_code(self, tmp_path, capsys):
+        cfg = {**ZERO_STEP_RUN, "learning": {"episodes": 1, "episode_duration": 0.01}}
+        path = write_cfg(tmp_path, cfg)
+        assert main(["learn", "--config", str(path), "--out", str(tmp_path / "out")]) == 3
+        assert "every episode terminated early" in capsys.readouterr().err
 
     def test_disabled_learning_is_config_error(self, tmp_path):
         cfg = fast_overrides()

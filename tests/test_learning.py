@@ -4,8 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from pssf.barrier import FilteredController
-from pssf.dynamics import ControlAffineSystem
+from pssf.dynamics import ControlAffineSystem, simulate
 from pssf.learning import (
     Dataset,
     EpisodicTrainingError,
@@ -41,7 +40,6 @@ def make_dataset(rng, features, n_rows, m=1, w_b=None, W_a=None, noise=0.0):
         hdot_target=targets,
         hdot_nominal=np.zeros(n_rows),
         episode_ids=np.zeros(n_rows, dtype=int),
-        times=np.arange(n_rows) * 1e-3,
     )
     return ds, w_b, W_a
 
@@ -169,8 +167,7 @@ class TestFitResidual:
 
     def test_empty_dataset_rejected(self):
         features = FeatureMap("polynomial", max_degree=1, indices=(1,))
-        ds = Dataset(np.zeros((0, 4)), np.zeros((0, 1)), np.zeros(0), np.zeros(0),
-                     np.zeros(0, dtype=int), np.zeros(0))
+        ds = Dataset(np.zeros((0, 4)), np.zeros((0, 1)), np.zeros(0), np.zeros(0), np.zeros(0, dtype=int))
         with pytest.raises(ValueError):
             fit_residual(ds, features, 1e-4)
 
@@ -183,7 +180,7 @@ class TestFitResidual:
         features = FeatureMap("polynomial", max_degree=2, indices=(1, 2))
         features.fit_normalization(states)
         ds = Dataset(states, rng.normal(size=(40, 1)), rng.normal(size=40), np.zeros(40),
-                     np.zeros(40, dtype=int), np.arange(40) * 1e-3)
+                     np.zeros(40, dtype=int))
         with pytest.warns(UserWarning):
             model = fit_residual(ds, features, 1e-14)
         assert model.ill_conditioned
@@ -219,8 +216,8 @@ class TestCollectEpisode:
         x0 = np.array([0.0, 0.0, 0.05, 0.0])
 
         def mean_abs_target(dt):
-            ds = collect_episode(scn.true_system, scn.nominal_system, scn.barrier,
-                                 lambda x, t: np.zeros(1), x0, 1.0, dt)
+            traj = simulate(scn.true_system, lambda x, t: np.zeros(1), x0, 1.0, dt)
+            ds = collect_episode(dataclasses.replace(scn, dt=dt), traj)
             return float(np.mean(np.abs(ds.targets()[1:])))  # row 0 is the forward difference
 
         coarse, fine = mean_abs_target(1e-3), mean_abs_target(5e-4)
@@ -231,61 +228,41 @@ class TestCollectEpisode:
         # the ZOH input hold adds an O(dt) term under a time-varying
         # controller; at 1 kHz the total floor stays small
         scn = self._scenario(identity=True)
-        controller = FilteredController(scn.barrier, scn.nominal_system, scn.desired, u_limit=scn.u_limit)
-        ds = collect_episode(scn.true_system, scn.nominal_system, scn.barrier, controller,
-                             scn.x0, 1.0, 1e-3)
+        traj, _ = scn.rollout(duration=1.0)
+        ds = collect_episode(scn, traj)
         assert float(np.mean(np.abs(ds.targets()))) < 0.02
 
     def test_benchmark_residual_observable(self):
         scn = self._scenario()
-        controller = FilteredController(scn.barrier, scn.nominal_system, scn.desired, u_limit=scn.u_limit)
-        ds = collect_episode(scn.true_system, scn.nominal_system, scn.barrier, controller,
-                             scn.x0, 1.0, 1e-3)
+        traj, _ = scn.rollout(duration=1.0)
+        ds = collect_episode(scn, traj)
         ident = self._scenario(identity=True)
-        controller0 = FilteredController(ident.barrier, ident.nominal_system, ident.desired, u_limit=ident.u_limit)
-        floor_ds = collect_episode(ident.true_system, ident.nominal_system, ident.barrier, controller0,
-                                   ident.x0, 1.0, 1e-3)
+        floor_traj, _ = ident.rollout(duration=1.0)
+        floor_ds = collect_episode(ident, floor_traj)
         floor = np.mean(np.abs(floor_ds.targets()))
         assert np.mean(np.abs(ds.targets())) > 10.0 * floor
 
     def test_two_step_episode_has_one_interior_row(self):
         scn = self._scenario(identity=True)
-        controller = FilteredController(scn.barrier, scn.nominal_system, scn.desired, u_limit=scn.u_limit)
-        dt = 1e-3
-        ds = collect_episode(scn.true_system, scn.nominal_system, scn.barrier, controller,
-                             scn.x0, 2 * dt, dt)
+        dt = scn.dt
+        traj, _ = scn.rollout(duration=2 * dt)
+        ds = collect_episode(scn, traj)
         assert len(ds) == 2  # forward-difference row plus one interior row
         # recompute the interior central difference independently
-        controller2 = FilteredController(scn.barrier, scn.nominal_system, scn.desired, u_limit=scn.u_limit)
-        from pssf.dynamics import simulate
-
-        traj = simulate(scn.true_system, controller2, scn.x0, 2 * dt, dt)
         h = [scn.barrier.h(x) for x in traj.states]
         assert ds.hdot_target[1] == pytest.approx((h[2] - h[0]) / (2 * dt), rel=1e-12)
 
     def test_noise_spec_is_seeded(self):
         scn = self._scenario()
+        traj, _ = scn.rollout(duration=0.1)
+
         def run(seed):
-            controller = FilteredController(scn.barrier, scn.nominal_system, scn.desired, u_limit=scn.u_limit)
             noise = NoiseSpec(std=1e-4, rng=np.random.default_rng(seed))
-            return collect_episode(scn.true_system, scn.nominal_system, scn.barrier, controller,
-                                   scn.x0, 0.1, 1e-3, noise=noise)
+            return collect_episode(scn, traj, noise=noise)
         a, b = run(0), run(0)
         assert np.array_equal(a.hdot_target, b.hdot_target)
         c = run(1)
         assert not np.array_equal(a.hdot_target, c.hdot_target)
-
-    def test_csv_round_trip(self, tmp_path):
-        scn = self._scenario()
-        controller = FilteredController(scn.barrier, scn.nominal_system, scn.desired, u_limit=scn.u_limit)
-        ds = collect_episode(scn.true_system, scn.nominal_system, scn.barrier, controller,
-                             scn.x0, 0.05, 1e-3, episode_id=3)
-        path = tmp_path / "data.csv"
-        ds.to_csv(path)
-        loaded = Dataset.from_csv(path)
-        assert np.array_equal(loaded.states, ds.states)
-        assert np.array_equal(loaded.hdot_target, ds.hdot_target)
-        assert np.array_equal(loaded.episode_ids, ds.episode_ids)
 
 
 class TestEpisodicTrain:
@@ -339,8 +316,8 @@ class TestEpisodicTrain:
         scn = self._scenario({"system": {"perturbation": {"scale": {}, "drop_friction": False}}},
                              episodes=2, episode_duration=1.0)
         model, history = episodic_train(scn)
-        controller = FilteredController(scn.barrier, scn.nominal_system, scn.desired, u_limit=scn.u_limit)
-        ds = collect_episode(scn.true_system, scn.nominal_system, scn.barrier, controller, scn.x0, 1.0, 1e-3)
+        traj, _ = scn.rollout(duration=1.0)
+        ds = collect_episode(scn, traj)
         discretization_floor = float(np.max(np.abs(ds.targets())))
         for record in history.records:
             assert record.validation_delta_bar <= 100.0 * max(discretization_floor, 1e-12)
