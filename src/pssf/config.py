@@ -10,12 +10,15 @@ from __future__ import annotations
 
 import copy
 import dataclasses
+import sys
 from pathlib import Path
 
 import jsonschema
 import yaml
 
+from . import kfun
 from .dynamics import BENCHMARK_PERTURBATION, SegwayParams
+from .learning import FeatureMap
 
 
 class ConfigError(ValueError):
@@ -177,7 +180,12 @@ SCHEMA = {
 }
 
 # Built and checked against its metaschema once: jsonschema.validate repeats that check on every call.
-_VALIDATOR = jsonschema.validators.validator_for(SCHEMA)(SCHEMA)
+# A number must also fit a finite float: YAML's .inf and .nan, or an integer
+# beyond float range, would otherwise reach the dynamics and the certificate.
+_BASE_VALIDATOR = jsonschema.validators.validator_for(SCHEMA)
+_VALIDATOR = jsonschema.validators.extend(_BASE_VALIDATOR, type_checker=_BASE_VALIDATOR.TYPE_CHECKER.redefine(
+    "number", lambda checker, x: _BASE_VALIDATOR.TYPE_CHECKER.is_type(x, "number") and abs(x) <= sys.float_info.max,
+))(SCHEMA)
 _VALIDATOR.check_schema(SCHEMA)
 
 
@@ -211,20 +219,16 @@ def validate_config(user: dict) -> dict:
         path = ".".join(str(p) for p in error.absolute_path) or "<root>"
         raise ConfigError(f"config error at {path}: {error.message}") from error
 
-    # The alpha block has family-specific keys; the comparison-function
-    # parser is the authority on those.
-    from . import kfun
-
+    # The alpha and feature blocks have kind-specific keys; the parsers that
+    # build them are the authority on those.
     try:
         kfun.from_config(resolved["barrier"]["alpha"])
     except (ValueError, TypeError) as exc:
         raise ConfigError(f"config error at barrier.alpha: {exc}") from exc
-
-    features = resolved["learning"]["features"]
-    if features["kind"] == "polynomial" and "max_degree" not in features:
-        raise ConfigError("config error at learning.features: polynomial needs max_degree")
-    if features["kind"] == "random_fourier" and not {"count", "bandwidth"} <= set(features):
-        raise ConfigError("config error at learning.features: random_fourier needs count and bandwidth")
+    try:
+        FeatureMap.from_config(resolved["learning"]["features"])
+    except ValueError as exc:
+        raise ConfigError(f"config error at learning.features: {exc}") from exc
     return resolved
 
 

@@ -15,6 +15,13 @@ Families:
 The odd extension for ``Power`` is the library's canonical rule for
 extending class-K functions to negative arguments; it makes every family
 usable as an extended class-K function without separate code paths.
+
+Every function has one domain, a :class:`Domain`: the finite arguments in
+[lower, upper], ends included, and 0. Closed forms take all reals, a table
+the span of its abscissae, and a composition its inner function's domain,
+clipped at 0 from below when the outer function is not extended. Infinite
+and NaN arguments lie outside every domain; constructors reject non-finite
+parameters.
 """
 
 from __future__ import annotations
@@ -24,11 +31,6 @@ from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
-
-CLASS_K = "class_k"
-CLASS_K_INF = "class_k_inf"
-EXTENDED_CLASS_K = "extended_class_k"
-EXTENDED_CLASS_K_INF = "extended_class_k_inf"
 
 #: Fixed geometric grid used for unboundedness probes and spot checks.
 PROBE_GRID = tuple(sorted(s * 10.0**j for s in (-1.0, 1.0) for j in range(-3, 4)))
@@ -43,58 +45,34 @@ class NotInvertibleError(ValueError):
 
 
 @dataclass(frozen=True)
-class DomainKind:
-    """Domain descriptor for a comparison function.
+class Domain:
+    """Finite arguments in [lower, upper], and 0; extended reaches below 0, unbounded has no upper end."""
 
-    ``kind`` is one of the four class names above. Bounded class-K domains
-    are [0, upper); bounded extended domains are (lower, upper). Tabulated
-    families close both endpoints so interpolation covers the whole table.
-    """
-
-    kind: str
-    lower: float = 0.0
+    lower: float = -math.inf
     upper: float = math.inf
-    closed: bool = False
 
     @property
     def extended(self) -> bool:
-        return self.kind in (EXTENDED_CLASS_K, EXTENDED_CLASS_K_INF)
+        return self.lower < 0.0
 
     @property
     def unbounded(self) -> bool:
-        return self.kind in (CLASS_K_INF, EXTENDED_CLASS_K_INF)
+        return self.upper == math.inf
 
     def contains(self, r: float) -> bool:
-        if r == 0.0:
-            return True
-        if self.closed:
-            return self.lower <= r <= self.upper
-        low_ok = r > self.lower if self.extended else r >= 0.0
-        return low_ok and r < self.upper
-
-
-def class_k(a: float = math.inf) -> DomainKind:
-    if a == math.inf:
-        return DomainKind(CLASS_K_INF, 0.0, math.inf)
-    return DomainKind(CLASS_K, 0.0, a)
-
-
-def extended_class_k(a: float = math.inf, b: float = math.inf) -> DomainKind:
-    if a == math.inf and b == math.inf:
-        return DomainKind(EXTENDED_CLASS_K_INF, -math.inf, math.inf)
-    return DomainKind(EXTENDED_CLASS_K, -b, a)
+        return r == 0.0 or (self.lower <= r <= self.upper and math.isfinite(r))
 
 
 class ComparisonFunction:
     """Base class. Instances are immutable and safe to share across tasks."""
 
-    domain_kind: DomainKind
+    domain_kind: Domain = Domain()
 
     def __call__(self, r: float) -> float:
         if not self.domain_kind.contains(r):
             raise DomainError(
-                f"{r!r} outside domain ({self.domain_kind.lower}, "
-                f"{self.domain_kind.upper}) of {self!r}"
+                f"{r!r} outside domain [{self.domain_kind.lower}, "
+                f"{self.domain_kind.upper}] of {self!r}"
             )
         return self._eval(float(r))
 
@@ -107,33 +85,31 @@ class ComparisonFunction:
 
 @dataclass(frozen=True)
 class Linear(ComparisonFunction):
-    """r -> k * r with k > 0. Extended class K-infinity."""
+    """r -> k * r with finite k > 0. Extended class K-infinity."""
 
     k: float
-    domain_kind: DomainKind = extended_class_k()
 
     def __post_init__(self):
-        if not self.k > 0.0:
-            raise ValueError(f"Linear slope must be positive, got {self.k}")
+        if not 0.0 < self.k < math.inf:
+            raise ValueError(f"Linear slope must be positive and finite, got {self.k}")
 
     def _eval(self, r: float) -> float:
         return self.k * r
 
     def inverse(self) -> "Linear":
-        return Linear(1.0 / self.k, self.domain_kind)
+        return Linear(1.0 / self.k)
 
 
 @dataclass(frozen=True)
 class Power(ComparisonFunction):
-    """r -> c * |r|**p * sign(r) with c, p > 0 (odd extension)."""
+    """r -> c * |r|**p * sign(r) with finite c, p > 0 (odd extension)."""
 
     c: float
     p: float
-    domain_kind: DomainKind = extended_class_k()
 
     def __post_init__(self):
-        if not (self.c > 0.0 and self.p > 0.0):
-            raise ValueError(f"Power needs c > 0 and p > 0, got c={self.c}, p={self.p}")
+        if not (0.0 < self.c < math.inf and 0.0 < self.p < math.inf):
+            raise ValueError(f"Power needs finite c > 0 and p > 0, got c={self.c}, p={self.p}")
 
     def _eval(self, r: float) -> float:
         if r == 0.0:
@@ -142,7 +118,7 @@ class Power(ComparisonFunction):
 
     def inverse(self) -> "Power":
         # y = c |r|^p sign(r)  =>  r = (|y|/c)^(1/p) sign(y)
-        return Power(self.c ** (-1.0 / self.p), 1.0 / self.p, self.domain_kind)
+        return Power(self.c ** (-1.0 / self.p), 1.0 / self.p)
 
 
 @dataclass(frozen=True)
@@ -151,7 +127,7 @@ class Composition(ComparisonFunction):
 
     outer: ComparisonFunction
     inner: ComparisonFunction
-    domain_kind: DomainKind
+    domain_kind: Domain
 
     def _eval(self, r: float) -> float:
         return self.outer(self.inner(r))
@@ -166,10 +142,10 @@ class TabulatedMonotone(ComparisonFunction):
     """Monotone piecewise-linear interpolant through (r, value) breakpoints.
 
     Lets callers certify with empirically sampled comparison functions. The
-    constructor only requires strictly increasing abscissae; whether the
-    table actually describes a class-K function is checked by
-    :func:`verify_class_membership`, not here, so deliberately broken tables
-    can be built and reported on.
+    constructor only requires finite breakpoints and strictly increasing
+    abscissae; whether the table actually describes a class-K function is
+    checked by :func:`verify_class_membership`, not here, so deliberately
+    broken tables can be built and reported on.
     """
 
     breakpoints: tuple
@@ -178,13 +154,13 @@ class TabulatedMonotone(ComparisonFunction):
         pts = tuple((float(r), float(v)) for r, v in breakpoints)
         if len(pts) < 2:
             raise ValueError("need at least two breakpoints")
+        if not all(math.isfinite(x) for pt in pts for x in pt):
+            raise ValueError(f"breakpoints must be finite, got {pts}")
         rs = [r for r, _ in pts]
         if any(r2 <= r1 for r1, r2 in zip(rs, rs[1:])):
             raise ValueError("breakpoint abscissae must be strictly increasing")
         object.__setattr__(self, "breakpoints", pts)
-        lo, hi = rs[0], rs[-1]
-        kind = EXTENDED_CLASS_K if lo < 0.0 else CLASS_K
-        object.__setattr__(self, "domain_kind", DomainKind(kind, lo, hi, closed=True))
+        object.__setattr__(self, "domain_kind", Domain(rs[0], rs[-1]))
 
     def _eval(self, r: float) -> float:
         rs = [p[0] for p in self.breakpoints]
@@ -201,60 +177,46 @@ class TabulatedMonotone(ComparisonFunction):
 def compose(outer: ComparisonFunction, inner: ComparisonFunction) -> Composition:
     """Composition outer(inner(r)).
 
-    The range of ``inner`` must sit inside the domain of ``outer``
-    (checked at the domain endpoints, which suffices by monotonicity).
-    The result carries the weakest common class of the two operands:
-    extended only if both are extended, unbounded only if both are, with
-    the inner function's domain bounds.
+    The range of ``inner`` must sit inside the domain of ``outer``; by
+    monotonicity it suffices to check the two ends of the inner domain. An
+    infinite end needs the outer domain to be infinite on the same side. The
+    result takes the inner function's domain, clipped at 0 from below when
+    the outer function is not extended.
     """
     ik, ok = inner.domain_kind, outer.domain_kind
-    if math.isinf(ik.upper):
-        if not math.isinf(ok.upper):
-            raise DomainError("inner range is unbounded above but outer domain is not")
-    else:
-        top = inner._eval(ik.upper if ik.closed else math.nextafter(ik.upper, 0.0))
-        if not ok.contains(top):
-            raise DomainError(f"range of inner reaches {top}, outside domain of outer")
-    if ik.extended:
-        if math.isinf(ik.lower):
-            if not (ok.extended and math.isinf(ok.lower)):
-                raise DomainError("inner range is unbounded below but outer domain is not")
-        else:
-            bottom = inner._eval(ik.lower if ik.closed else math.nextafter(ik.lower, 0.0))
-            if not ok.contains(bottom):
-                raise DomainError(f"range of inner reaches {bottom}, outside domain of outer")
-    extended = ik.extended and ok.extended
-    unbounded = ik.unbounded and ok.unbounded
-    if unbounded:
-        kind = extended_class_k() if extended else class_k()
-    else:
-        name = EXTENDED_CLASS_K if extended else CLASS_K
-        lower = ik.lower if extended else 0.0
-        kind = DomainKind(name, lower, ik.upper, ik.closed)
-    return Composition(outer, inner, kind)
+    for end, outer_end, side in ((ik.upper, ok.upper, "above"), (ik.lower, ok.lower, "below")):
+        if math.isinf(end):
+            if outer_end != end:
+                raise DomainError(f"inner range is unbounded {side} but outer domain is not")
+        elif not ok.contains(value := inner._eval(end)):
+            raise DomainError(f"range of inner reaches {value}, outside domain of outer")
+    lower = ik.lower if ok.extended else max(ik.lower, 0.0)
+    return Composition(outer, inner, Domain(lower, ik.upper))
 
 
 @dataclass(frozen=True)
 class MembershipReport:
     """Outcome of the sampled class-K membership checks.
 
-    ``first_violation`` holds the offending grid pair for a monotonicity
-    failure, or (r, value) for a zero/sign failure. Violations are report
-    content, never exceptions.
+    ``failure`` names the first failed check ("zero", "monotonicity" or
+    "sign"), or is None when all pass. ``first_violation`` holds the
+    offending grid pair for a monotonicity failure, or (r, value) for a
+    zero/sign failure. Violations are report content, never exceptions.
     """
 
-    passed: bool
-    zero_at_origin: bool
-    strictly_increasing: bool
-    signs_ok: bool
     failure: str | None = None
     first_violation: tuple | None = None
+
+    @property
+    def passed(self) -> bool:
+        return self.failure is None
 
 
 def verify_class_membership(alpha: ComparisonFunction, grid: Sequence[float]) -> MembershipReport:
     """Check alpha(0) = 0, strict monotonicity, and sign conditions on a grid.
 
     The grid must be sorted, lie inside alpha's claimed domain, and contain 0.
+    The checks run in that order and the report names the first that fails.
     """
     grid = [float(r) for r in grid]
     if any(r2 <= r1 for r1, r2 in zip(grid, grid[1:])):
@@ -266,36 +228,16 @@ def verify_class_membership(alpha: ComparisonFunction, grid: Sequence[float]) ->
 
     values = [alpha(r) for r in grid]
 
-    zero_ok = values[grid.index(0.0)] == 0.0
-    failure = None
-    violation = None
-    if not zero_ok:
-        failure, violation = "zero", (0.0, values[grid.index(0.0)])
-
-    monotone_ok = True
+    at_zero = values[grid.index(0.0)]
+    if at_zero != 0.0:
+        return MembershipReport("zero", (0.0, at_zero))
     for (r1, v1), (r2, v2) in zip(zip(grid, values), zip(grid[1:], values[1:])):
         if v2 <= v1:
-            monotone_ok = False
-            if failure is None:
-                failure, violation = "monotonicity", (r1, r2)
-            break
-
-    signs_ok = True
+            return MembershipReport("monotonicity", (r1, r2))
     for r, v in zip(grid, values):
         if (r > 0.0 and v <= 0.0) or (r < 0.0 and v >= 0.0):
-            signs_ok = False
-            if failure is None:
-                failure, violation = "sign", (r, v)
-            break
-
-    return MembershipReport(
-        passed=zero_ok and monotone_ok and signs_ok,
-        zero_at_origin=zero_ok,
-        strictly_increasing=monotone_ok,
-        signs_ok=signs_ok,
-        failure=failure,
-        first_violation=violation,
-    )
+            return MembershipReport("sign", (r, v))
+    return MembershipReport()
 
 
 def probe_unboundedness(alpha: ComparisonFunction) -> bool:

@@ -1,5 +1,6 @@
 import filecmp
 import json
+import math
 from pathlib import Path
 
 import numpy as np
@@ -60,10 +61,26 @@ class TestConfigValidation:
             validate_config({"run": {"duration": 0.0}})
         with pytest.raises(ConfigError, match="run.seed"):
             validate_config({"run": {"dt": -1.0, "seed": "x"}})
+        with pytest.raises(ConfigError, match="run.duration"):
+            validate_config({"run": {"duration": math.inf}})
+        with pytest.raises(ConfigError, match="run.x0"):
+            validate_config({"run": {"x0": [0.0, 0.0, math.nan, 0.0]}})
+        with pytest.raises(ConfigError, match="controller.kp"):
+            validate_config({"controller": {"kp": 10**400}})
 
     def test_bad_alpha_family(self):
         with pytest.raises(ConfigError, match="alpha"):
             validate_config({"barrier": {"alpha": {"family": "nope"}}})
+        with pytest.raises(ConfigError, match="alpha"):
+            validate_config({"barrier": {"alpha": {"family": "linear", "k": math.inf}}})
+        with pytest.raises(ConfigError, match="alpha"):
+            validate_config({"barrier": {"alpha": {"family": "tabulated",
+                                                   "breakpoints": [[-1, -1], [0, 0], [math.inf, 1]]}}})
+
+    @pytest.mark.parametrize("features", [{"kind": "polynomial"}, {"kind": "random_fourier", "count": 4}])
+    def test_feature_kind_needs_its_keys(self, features):
+        with pytest.raises(ConfigError, match="learning.features"):
+            validate_config({"learning": {"features": features}})
 
     def test_alpha_replaces_rather_than_merges(self):
         cfg = validate_config({"barrier": {"alpha": {"family": "power", "c": 1.0, "p": 2.0}}})

@@ -49,6 +49,26 @@ class TestEvaluate:
             Linear(0.0)
         with pytest.raises(ValueError):
             Power(-1.0, 2.0)
+        with pytest.raises(ValueError):
+            Linear(math.inf)
+        with pytest.raises(ValueError):
+            Power(1.0, math.inf)
+        with pytest.raises(ValueError):
+            TabulatedMonotone([(0.0, 0.0), (math.nan, 1.0), (2.0, 2.0)])
+
+    @pytest.mark.parametrize(
+        "alpha",
+        [
+            Linear(2.0),
+            Power(1.0, 3.0),
+            TabulatedMonotone([(-1.0, -1.0), (0.0, 0.0), (1.0, 1.0)]),
+            compose(Linear(2.0), Power(1.0, 3.0)),
+        ],
+    )
+    @pytest.mark.parametrize("r", [math.inf, -math.inf, math.nan])
+    def test_non_finite_argument_outside_domain(self, alpha, r):
+        with pytest.raises(DomainError):
+            alpha(r)
 
 
 class TestInverse:
