@@ -12,11 +12,11 @@ b_hat(x) + a_hat(x)^T u in the barrier derivative.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Optional, Protocol, Sequence
+from typing import Callable, Optional, Protocol
 
 import numpy as np
 
-from .dynamics import ControlAffineSystem, finite_difference_jacobian
+from .dynamics import ControlAffineSystem
 from .kfun import ComparisonFunction, Linear
 
 
@@ -34,10 +34,7 @@ class HdotResidual(Protocol):
 
 @dataclass(frozen=True)
 class BarrierFunction:
-    """h, its analytic gradient, and the decay rate alpha (extended class K-inf).
-
-    The gradient is trusted but checkable: see :func:`check_gradient`.
-    """
+    """h, its analytic gradient, and the decay rate alpha (extended class K-inf)."""
 
     h: Callable[[np.ndarray], float]
     grad_h: Callable[[np.ndarray], np.ndarray]
@@ -175,19 +172,3 @@ class FilteredController:
             self.clamped_count += 1
             u = np.minimum(np.maximum(u, -self.u_limit), self.u_limit)
         return u
-
-
-def check_gradient(bar: BarrierFunction, samples: Sequence[np.ndarray], rel_tol: float = 1e-5) -> float:
-    """Worst relative mismatch between grad_h and central differences of h.
-
-    Raises AssertionError when the mismatch exceeds rel_tol at any sample.
-    """
-    worst = 0.0
-    for x in samples:
-        analytic = np.asarray(bar.grad_h(x), dtype=float)
-        numeric = finite_difference_jacobian(lambda z: np.array([bar.h(z)]), np.asarray(x, float))[0]
-        err = float(np.linalg.norm(analytic - numeric)) / max(1.0, float(np.linalg.norm(numeric)))
-        worst = max(worst, err)
-    if worst > rel_tol:
-        raise AssertionError(f"gradient mismatch {worst} exceeds {rel_tol}")
-    return worst

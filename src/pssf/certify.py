@@ -19,7 +19,7 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 from .barrier import BarrierFunction, HdotResidual
-from .dynamics import ControlAffineSystem, Trajectory, finite_difference_jacobian
+from .dynamics import ControlAffineSystem, Trajectory
 from .ioutil import write_csv
 from .kfun import ComparisonFunction, Linear, compose
 
@@ -237,16 +237,6 @@ def transport_inflation(sigma_upper: ComparisonFunction, gamma: ComparisonFuncti
     return compose(sigma_upper.inverse(), gamma)
 
 
-def direct_transport_floor(sigma_upper: ComparisonFunction, gamma: ComparisonFunction, delta_bar: float) -> float:
-    """Diagnostic alternative floor sigma_upper^-1(-gamma(delta_bar)).
-
-    Inverts the sandwich bound directly instead of composing gains; the two
-    coincide for linear sigma_upper and may differ otherwise. Requires an
-    extended sigma_upper since the argument is negative.
-    """
-    return sigma_upper.inverse()(-gamma(delta_bar))
-
-
 def verify_certificate(traj: Trajectory, bar: BarrierFunction, cert: PssfCertificate, tol: float = 1e-6) -> CertificateReport:
     """Check h(x(t)) >= floor - tol along the trajectory.
 
@@ -275,17 +265,3 @@ def certificate_json(cert: PssfCertificate, report: Optional[CertificateReport] 
         "min_h": report.min_h if report is not None else None,
         "pass": report.passed if report is not None else None,
     }
-
-
-def check_jacobian(proj: Projection, samples: Sequence[np.ndarray], rel_tol: float = 1e-5) -> float:
-    """Worst relative mismatch between the analytic Jacobian and finite differences."""
-    worst = 0.0
-    for x in samples:
-        x = np.asarray(x, dtype=float)
-        analytic = np.atleast_2d(np.asarray(proj.jacobian(x), dtype=float))
-        numeric = finite_difference_jacobian(lambda z: np.atleast_1d(proj.map(z)), x)
-        err = float(np.linalg.norm(analytic - numeric)) / max(1.0, float(np.linalg.norm(numeric)))
-        worst = max(worst, err)
-    if worst > rel_tol:
-        raise AssertionError(f"jacobian mismatch {worst} exceeds {rel_tol}")
-    return worst

@@ -85,9 +85,6 @@ def main(argv=None) -> int:
     if args.command == "learn":
         try:
             summary = learn_artifacts(cfg, args.out)
-        except ConfigError as exc:
-            print(f"config error: {exc}", file=sys.stderr)
-            return EXIT_CONFIG
         except EpisodicTrainingError as exc:
             print(f"training failed: {exc}", file=sys.stderr)
             return EXIT_EARLY_TERMINATION

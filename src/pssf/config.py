@@ -45,10 +45,8 @@ DEFAULT_CONFIG = {
         "kd": 45.0,
         "u_max": 100.0,
         "reference": {"amplitude": 0.25, "frequency": 0.45},
-        "excitation": {"amplitude": 0.0, "hold_steps": 20},
     },
     "learning": {
-        "enabled": True,
         "episodes": 5,
         "episode_duration": 10.0,
         "features": {"kind": "polynomial", "max_degree": 2, "indices": [1, 2, 3], "seed": 0},
@@ -68,15 +66,6 @@ DEFAULT_CONFIG = {
 _NUMBER = {"type": "number"}
 _POSITIVE = {"type": "number", "exclusiveMinimum": 0}
 _NONNEGATIVE = {"type": "number", "minimum": 0}
-
-_EXCITATION_SCHEMA = {
-    "type": "object",
-    "additionalProperties": False,
-    "properties": {
-        "amplitude": _NONNEGATIVE,
-        "hold_steps": {"type": "integer", "minimum": 1},
-    },
-}
 
 _FEATURES_SCHEMA = {
     "type": "object",
@@ -138,19 +127,24 @@ SCHEMA = {
                     "additionalProperties": False,
                     "properties": {"amplitude": _NONNEGATIVE, "frequency": _NONNEGATIVE},
                 },
-                "excitation": _EXCITATION_SCHEMA,
             },
         },
         "learning": {
             "type": "object",
             "additionalProperties": False,
             "properties": {
-                "enabled": {"type": "boolean"},
                 "episodes": {"type": "integer", "minimum": 1},
                 "episode_duration": _POSITIVE,
                 "features": _FEATURES_SCHEMA,
                 "ridge_lambda": _POSITIVE,
-                "excitation": _EXCITATION_SCHEMA,
+                "excitation": {
+                    "type": "object",
+                    "additionalProperties": False,
+                    "properties": {
+                        "amplitude": _NONNEGATIVE,
+                        "hold_steps": {"type": "integer", "minimum": 1},
+                    },
+                },
                 "x0_jitter": {
                     "anyOf": [
                         {"type": "null"},
@@ -220,10 +214,11 @@ def validate_config(user: dict) -> dict:
         raise ConfigError(f"config error at {path}: {error.message}") from error
 
     # The alpha and feature blocks have kind-specific keys; the parsers that
-    # build them are the authority on those.
+    # build them are the authority on those. Every certificate needs alpha^-1,
+    # so an alpha whose inverse overflows or underflows is rejected here too.
     try:
-        kfun.from_config(resolved["barrier"]["alpha"])
-    except (ValueError, TypeError) as exc:
+        kfun.from_config(resolved["barrier"]["alpha"]).inverse()
+    except (ValueError, TypeError, OverflowError) as exc:
         raise ConfigError(f"config error at barrier.alpha: {exc}") from exc
     try:
         FeatureMap.from_config(resolved["learning"]["features"])

@@ -51,10 +51,8 @@ class ControlAffineSystem:
 
     ``drift`` and ``actuation`` must be pure functions of the values of x and
     return fresh arrays that the caller may keep or modify. :func:`step_rk4`
-    evaluates each of them once per RK stage.
-
-    Local Lipschitz continuity of f and g is assumed, not checked; see
-    :func:`lipschitz_probe` for a numerical diagnostic.
+    evaluates each of them once per RK stage. Local Lipschitz continuity of
+    f and g is assumed, not checked.
     """
 
     state_dim: int
@@ -195,18 +193,6 @@ def segway_nominal(params: SegwayParams, perturbation: PerturbationSpec) -> Cont
     return segway_true(perturbation.apply(params))
 
 
-def segway_energy(params: SegwayParams, x: np.ndarray) -> float:
-    """Total mechanical energy; conserved when unactuated and frictionless."""
-    _, vel, pitch, rate = x
-    ml = params.body_mass * params.com_length
-    d11 = params.body_mass + 1.5 * params.wheel_mass
-    d12 = ml * math.cos(pitch)
-    d22 = params.body_inertia + ml * params.com_length
-    kinetic = 0.5 * (d11 * vel * vel + 2.0 * d12 * vel * rate + d22 * rate * rate)
-    potential = params.body_mass * params.gravity * params.com_length * math.cos(pitch)
-    return kinetic + potential
-
-
 @dataclass(frozen=True)
 class DisturbanceSignal:
     """Additive state disturbance with a declared sup-norm bound.
@@ -344,34 +330,3 @@ def simulate(
         terminated_early=reason is not None,
         termination_reason=reason,
     )
-
-
-def finite_difference_jacobian(fn: Callable[[np.ndarray], np.ndarray], x: np.ndarray, eps: float = 1e-6) -> np.ndarray:
-    """Central-difference Jacobian of fn at x, shape (len(fn(x)), len(x))."""
-    x = np.asarray(x, dtype=float)
-    base = np.atleast_1d(np.asarray(fn(x), dtype=float))
-    jac = np.empty((base.size, x.size))
-    for i in range(x.size):
-        hi = x.copy()
-        lo = x.copy()
-        hi[i] += eps
-        lo[i] -= eps
-        jac[:, i] = (np.atleast_1d(fn(hi)) - np.atleast_1d(fn(lo))) / (2.0 * eps)
-    return jac
-
-
-def lipschitz_probe(fn: Callable[[np.ndarray], np.ndarray], samples: Sequence[np.ndarray]) -> float:
-    """Max finite-difference ratio ||fn(a)-fn(b)|| / ||a-b|| over sample pairs.
-
-    Diagnostic only; local Lipschitz continuity is an assumption of the
-    theory, not something a finite sample can establish.
-    """
-    values = [np.atleast_1d(np.asarray(fn(s), dtype=float)).ravel() for s in samples]
-    worst = 0.0
-    for i in range(len(samples)):
-        for j in range(i + 1, len(samples)):
-            dx = float(np.linalg.norm(np.asarray(samples[i]) - np.asarray(samples[j])))
-            if dx == 0.0:
-                continue
-            worst = max(worst, float(np.linalg.norm(values[i] - values[j])) / dx)
-    return worst

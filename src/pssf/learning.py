@@ -117,25 +117,15 @@ class FeatureMap:
             self._weights = rng.normal(size=(self.count, n_sel)) / self.bandwidth
             self._phases = rng.uniform(0.0, 2.0 * math.pi, size=self.count)
 
-    def __call__(self, x: np.ndarray) -> np.ndarray:
-        if not self.fitted:
-            raise RuntimeError("FeatureMap used before fit_normalization")
-        x = np.asarray(x, dtype=float)
-        sel = x[list(self.indices)] if self.indices is not None else x
-        z = (sel - self._center) / self._scale
-        if self.kind == POLYNOMIAL:
-            return np.prod(z[None, :] ** self._exponents, axis=1)
-        return math.sqrt(2.0 / self.count) * np.cos(self._weights @ z + self._phases)
-
-    def batch(self, states: np.ndarray) -> np.ndarray:
-        """phi for every row of states, shape (rows, dimension)."""
+    def __call__(self, states: np.ndarray) -> np.ndarray:
+        """phi of one state, shape (dimension,), or of each row of a stack, shape (rows, dimension)."""
         if not self.fitted:
             raise RuntimeError("FeatureMap used before fit_normalization")
         states = np.asarray(states, dtype=float)
-        sel = states[:, list(self.indices)] if self.indices is not None else states
+        sel = states[..., list(self.indices)] if self.indices is not None else states
         z = (sel - self._center) / self._scale
         if self.kind == POLYNOMIAL:
-            return np.prod(z[:, None, :] ** self._exponents[None, :, :], axis=2)
+            return np.prod(z[..., None, :] ** self._exponents, axis=-1)
         return math.sqrt(2.0 / self.count) * np.cos(z @ self._weights.T + self._phases)
 
     def to_config(self) -> dict:
@@ -314,7 +304,7 @@ def fit_residual(data: Dataset, features: FeatureMap, ridge_lambda: float) -> Re
         first = data.episode_ids == data.episode_ids.min()
         features.fit_normalization(data.states[first])
 
-    phi = features.batch(data.states)
+    phi = features(data.states)
     m = data.inputs.shape[1]
     design = np.concatenate([phi] + [phi * data.inputs[:, i:i + 1] for i in range(m)], axis=1)
     y = data.targets()

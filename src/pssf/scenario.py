@@ -17,19 +17,16 @@ import numpy as np
 from . import kfun
 from .barrier import BarrierFunction, FilteredController
 from .certify import (
-    CompatiblePair,
     DeltaTrace,
-    Projection,
     certificate_json,
     closed_loop_delta_trace,
     delta_bound,
     make_certificate,
     verify_certificate,
 )
-from .config import ConfigError, save_config, set_by_path, validate_config
+from .config import save_config, set_by_path, validate_config
 from .dynamics import (
     ControlAffineSystem,
-    DisturbanceSignal,
     PerturbationSpec,
     SegwayParams,
     Trajectory,
@@ -38,7 +35,7 @@ from .dynamics import (
     simulate,
 )
 from .ioutil import write_csv, write_json
-from .learning import ResidualModel, episodic_train, excite
+from .learning import ResidualModel, episodic_train
 
 
 def ellipse_pitch_barrier(pitch_max: float, rate_max: float, alpha) -> BarrierFunction:
@@ -154,9 +151,9 @@ def model_error_drift_sup(scn: Scenario, samples: int = 1000) -> float:
     return worst
 
 
-def _mode_summary(scn: Scenario, residual: Optional[ResidualModel], desired: Callable) -> dict:
+def _mode_summary(scn: Scenario, residual: Optional[ResidualModel]) -> dict:
     """Roll out one mode, compute its delta trace and certificate, verify."""
-    traj, controller = scn.rollout(residual, desired=desired)
+    traj, controller = scn.rollout(residual)
     trace = scn.delta_trace(traj, residual)
     dbar = delta_bound(trace)
     cert = make_certificate(scn.barrier.alpha, dbar)
@@ -190,15 +187,9 @@ def simulate_artifacts(cfg: dict, out_dir, model: Optional[ResidualModel] = None
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
 
-    exc_cfg = scn.cfg["controller"]["excitation"]
-    desired = scn.desired
-    if exc_cfg["amplitude"] > 0.0:
-        desired = excite(scn.desired, exc_cfg["amplitude"], exc_cfg["hold_steps"], scn.dt,
-                         scn.duration, scn.true_system.input_dim, np.random.default_rng(scn.seed))
-
-    modes = {"no_learning": _mode_summary(scn, None, desired)}
+    modes = {"no_learning": _mode_summary(scn, None)}
     if model is not None:
-        modes["learned"] = _mode_summary(scn, model, desired)
+        modes["learned"] = _mode_summary(scn, model)
 
     save_config(scn.cfg, out / "resolved_config.yaml")
     for name, result in modes.items():
@@ -224,8 +215,6 @@ def learn_artifacts(cfg: dict, out_dir) -> dict:
     """Run episodic training; write model.json and per-episode metrics."""
     scn = build_scenario(cfg)
     learn = scn.cfg["learning"]
-    if not learn["enabled"]:
-        raise ConfigError("learning block is disabled in this config")
     model, history = episodic_train(scn)
 
     out = Path(out_dir)
@@ -282,86 +271,3 @@ def sweep_artifacts(cfg: dict, param: str, values, out_dir,
         rows.append(row)
     write_csv(out / "sweep.csv", _SWEEP_HEADER, rows)
     return rows
-
-
-@dataclass(frozen=True)
-class PlanarDiskDemo:
-    """Planar single integrator with a nontrivial norm projection.
-
-    h(x) = 1 - ||x||^2 over R^2 with projection y = ||x||^2 and projected
-    barrier h_proj(y) = 1 - y, sandwiched exactly by identity bounds. The
-    disturbance pushes radially outward with a pulsing magnitude bounded by
-    ``dist_bound``, and the desired input also pushes outward so the filter
-    rides the constraint.
-    """
-
-    system: ControlAffineSystem
-    barrier: BarrierFunction
-    projection: Projection
-    h_proj: Callable
-    pair: CompatiblePair
-    disturbance: DisturbanceSignal
-    desired: Callable
-    alpha: kfun.ComparisonFunction
-    dist_bound: float
-
-
-def planar_disk_demo(k: float = 1.0, dist_bound: float = 0.25,
-                     pulse_frequency: float = 1.0, push: float = 0.5) -> PlanarDiskDemo:
-    system = ControlAffineSystem(
-        state_dim=2,
-        input_dim=2,
-        drift=lambda x: np.zeros(2),
-        actuation=lambda x: np.eye(2),
-    )
-    alpha = kfun.Linear(k)
-    bar = BarrierFunction(
-        h=lambda x: 1.0 - float(x @ x),
-        grad_h=lambda x: -2.0 * x,
-        alpha=alpha,
-    )
-    projection = Projection(
-        map=lambda x: np.array([float(x @ x)]),
-        jacobian=lambda x: 2.0 * x.reshape(1, 2),
-        output_dim=1,
-    )
-
-    def h_proj(y):
-        return 1.0 - float(np.atleast_1d(y)[0])
-
-    pair = CompatiblePair(
-        barrier=bar,
-        h_proj=h_proj,
-        projection=projection,
-        sigma_lower=kfun.Linear(1.0),
-        sigma_upper=kfun.Linear(1.0),
-    )
-
-    omega = 2.0 * math.pi * pulse_frequency
-
-    def pulsed_outward(t, x, u):
-        r = float(np.linalg.norm(x))
-        if r < 1e-9:
-            return np.zeros(2)
-        magnitude = dist_bound * (0.7 + 0.3 * math.sin(omega * t))
-        return (magnitude / r) * x
-
-    disturbance = DisturbanceSignal(evaluator=pulsed_outward, declared_bound=dist_bound)
-
-    def desired(x, t):
-        r = float(np.linalg.norm(x))
-        if r < 1e-9:
-            return np.zeros(2)
-        return (push / r) * x
-
-    return PlanarDiskDemo(
-        system=system,
-        barrier=bar,
-        projection=projection,
-        h_proj=h_proj,
-        pair=pair,
-        disturbance=disturbance,
-        desired=desired,
-        alpha=alpha,
-        dist_bound=dist_bound,
-    )

@@ -1,0 +1,191 @@
+"""Reference checks and a toy fixture that only the tests use.
+
+The ``pssf`` package holds what ``pssf simulate|learn|sweep`` runs and the
+library of the PSSf argument (barrier, filter, projection, certificate,
+learning). The helpers here judge that code instead of being part of it:
+finite-difference checks of analytic derivatives, an energy oracle for the
+Segway, a sampled Lipschitz ratio, an alternative floor to compare against
+``transport_inflation``, and a planar-disk demo with a nontrivial projection.
+Keeping them beside the tests gives every name one import path and keeps
+``src/`` free of code that no run calls.
+"""
+
+from __future__ import annotations
+
+import math
+from dataclasses import dataclass
+from typing import Callable, Sequence
+
+import numpy as np
+
+from pssf import kfun
+from pssf.barrier import BarrierFunction
+from pssf.certify import CompatiblePair, Projection
+from pssf.dynamics import ControlAffineSystem, DisturbanceSignal, SegwayParams
+from pssf.kfun import ComparisonFunction
+
+
+def finite_difference_jacobian(fn: Callable[[np.ndarray], np.ndarray], x: np.ndarray, eps: float = 1e-6) -> np.ndarray:
+    """Central-difference Jacobian of fn at x, shape (len(fn(x)), len(x))."""
+    x = np.asarray(x, dtype=float)
+    base = np.atleast_1d(np.asarray(fn(x), dtype=float))
+    jac = np.empty((base.size, x.size))
+    for i in range(x.size):
+        hi = x.copy()
+        lo = x.copy()
+        hi[i] += eps
+        lo[i] -= eps
+        jac[:, i] = (np.atleast_1d(fn(hi)) - np.atleast_1d(fn(lo))) / (2.0 * eps)
+    return jac
+
+
+def check_gradient(bar: BarrierFunction, samples: Sequence[np.ndarray], rel_tol: float = 1e-5) -> float:
+    """Worst relative mismatch between grad_h and central differences of h.
+
+    Raises AssertionError when the mismatch exceeds rel_tol at any sample.
+    """
+    worst = 0.0
+    for x in samples:
+        analytic = np.asarray(bar.grad_h(x), dtype=float)
+        numeric = finite_difference_jacobian(lambda z: np.array([bar.h(z)]), np.asarray(x, float))[0]
+        err = float(np.linalg.norm(analytic - numeric)) / max(1.0, float(np.linalg.norm(numeric)))
+        worst = max(worst, err)
+    if worst > rel_tol:
+        raise AssertionError(f"gradient mismatch {worst} exceeds {rel_tol}")
+    return worst
+
+
+def check_jacobian(proj: Projection, samples: Sequence[np.ndarray], rel_tol: float = 1e-5) -> float:
+    """Worst relative mismatch between the analytic Jacobian and finite differences."""
+    worst = 0.0
+    for x in samples:
+        x = np.asarray(x, dtype=float)
+        analytic = np.atleast_2d(np.asarray(proj.jacobian(x), dtype=float))
+        numeric = finite_difference_jacobian(lambda z: np.atleast_1d(proj.map(z)), x)
+        err = float(np.linalg.norm(analytic - numeric)) / max(1.0, float(np.linalg.norm(numeric)))
+        worst = max(worst, err)
+    if worst > rel_tol:
+        raise AssertionError(f"jacobian mismatch {worst} exceeds {rel_tol}")
+    return worst
+
+
+def direct_transport_floor(sigma_upper: ComparisonFunction, gamma: ComparisonFunction, delta_bar: float) -> float:
+    """Diagnostic alternative floor sigma_upper^-1(-gamma(delta_bar)).
+
+    Inverts the sandwich bound directly instead of composing gains; the two
+    coincide for linear sigma_upper and may differ otherwise. Requires an
+    extended sigma_upper since the argument is negative.
+    """
+    return sigma_upper.inverse()(-gamma(delta_bar))
+
+
+def lipschitz_probe(fn: Callable[[np.ndarray], np.ndarray], samples: Sequence[np.ndarray]) -> float:
+    """Max finite-difference ratio ||fn(a)-fn(b)|| / ||a-b|| over sample pairs.
+
+    Diagnostic only; local Lipschitz continuity is an assumption of the
+    theory, not something a finite sample can establish.
+    """
+    values = [np.atleast_1d(np.asarray(fn(s), dtype=float)).ravel() for s in samples]
+    worst = 0.0
+    for i in range(len(samples)):
+        for j in range(i + 1, len(samples)):
+            dx = float(np.linalg.norm(np.asarray(samples[i]) - np.asarray(samples[j])))
+            if dx == 0.0:
+                continue
+            worst = max(worst, float(np.linalg.norm(values[i] - values[j])) / dx)
+    return worst
+
+
+def segway_energy(params: SegwayParams, x: np.ndarray) -> float:
+    """Total mechanical energy; conserved when unactuated and frictionless."""
+    _, vel, pitch, rate = x
+    ml = params.body_mass * params.com_length
+    d11 = params.body_mass + 1.5 * params.wheel_mass
+    d12 = ml * math.cos(pitch)
+    d22 = params.body_inertia + ml * params.com_length
+    kinetic = 0.5 * (d11 * vel * vel + 2.0 * d12 * vel * rate + d22 * rate * rate)
+    potential = params.body_mass * params.gravity * params.com_length * math.cos(pitch)
+    return kinetic + potential
+
+
+@dataclass(frozen=True)
+class PlanarDiskDemo:
+    """Planar single integrator with a nontrivial norm projection.
+
+    h(x) = 1 - ||x||^2 over R^2 with projection y = ||x||^2 and projected
+    barrier h_proj(y) = 1 - y, sandwiched exactly by identity bounds. The
+    disturbance pushes radially outward with a pulsing magnitude bounded by
+    ``dist_bound``, and the desired input also pushes outward so the filter
+    rides the constraint.
+    """
+
+    system: ControlAffineSystem
+    barrier: BarrierFunction
+    projection: Projection
+    h_proj: Callable
+    pair: CompatiblePair
+    disturbance: DisturbanceSignal
+    desired: Callable
+    alpha: kfun.ComparisonFunction
+    dist_bound: float
+
+
+def planar_disk_demo(k: float = 1.0, dist_bound: float = 0.25,
+                     pulse_frequency: float = 1.0, push: float = 0.5) -> PlanarDiskDemo:
+    system = ControlAffineSystem(
+        state_dim=2,
+        input_dim=2,
+        drift=lambda x: np.zeros(2),
+        actuation=lambda x: np.eye(2),
+    )
+    alpha = kfun.Linear(k)
+    bar = BarrierFunction(
+        h=lambda x: 1.0 - float(x @ x),
+        grad_h=lambda x: -2.0 * x,
+        alpha=alpha,
+    )
+    projection = Projection(
+        map=lambda x: np.array([float(x @ x)]),
+        jacobian=lambda x: 2.0 * x.reshape(1, 2),
+        output_dim=1,
+    )
+
+    def h_proj(y):
+        return 1.0 - float(np.atleast_1d(y)[0])
+
+    pair = CompatiblePair(
+        barrier=bar,
+        h_proj=h_proj,
+        projection=projection,
+        sigma_lower=kfun.Linear(1.0),
+        sigma_upper=kfun.Linear(1.0),
+    )
+
+    omega = 2.0 * math.pi * pulse_frequency
+
+    def pulsed_outward(t, x, u):
+        r = float(np.linalg.norm(x))
+        if r < 1e-9:
+            return np.zeros(2)
+        magnitude = dist_bound * (0.7 + 0.3 * math.sin(omega * t))
+        return (magnitude / r) * x
+
+    disturbance = DisturbanceSignal(evaluator=pulsed_outward, declared_bound=dist_bound)
+
+    def desired(x, t):
+        r = float(np.linalg.norm(x))
+        if r < 1e-9:
+            return np.zeros(2)
+        return (push / r) * x
+
+    return PlanarDiskDemo(
+        system=system,
+        barrier=bar,
+        projection=projection,
+        h_proj=h_proj,
+        pair=pair,
+        disturbance=disturbance,
+        desired=desired,
+        alpha=alpha,
+        dist_bound=dist_bound,
+    )

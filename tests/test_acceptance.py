@@ -30,7 +30,9 @@ from pssf.certify import (
 from pssf.dynamics import ControlAffineSystem, simulate
 from pssf.kfun import Linear, Power, TabulatedMonotone, verify_class_membership
 from pssf.learning import Dataset, FeatureMap, ResidualModel, episodic_train, fit_residual
-from pssf.scenario import build_scenario, learn_artifacts, planar_disk_demo, simulate_artifacts
+from pssf.scenario import build_scenario, learn_artifacts, simulate_artifacts
+
+from oracles import planar_disk_demo
 
 
 def report(criterion: str, detail: str) -> None:
@@ -244,7 +246,7 @@ class TestCriterion06RegressionOracle:
             ds = Dataset(states, inputs, targets, np.zeros(n_rows), np.zeros(n_rows, dtype=int))
             lam = float(rng.uniform(1e-6, 1.0))
             model = fit_residual(ds, features, lam)
-            phi = features.batch(states)
+            phi = features(states)
             design = np.hstack([phi, phi * inputs])
             gram = design.T @ design + lam * np.eye(design.shape[1])
             oracle = np.linalg.solve(gram, design.T @ targets)

@@ -7,7 +7,6 @@ from pssf.barrier import (
     DegenerateGradientError,
     FilteredController,
     cbf_margin,
-    check_gradient,
     h_dot,
     issf_margin,
     safety_filter,
@@ -15,6 +14,8 @@ from pssf.barrier import (
 from pssf.dynamics import ControlAffineSystem
 from pssf.kfun import Linear, Power
 from pssf.scenario import build_scenario
+
+from oracles import check_gradient
 
 
 def scalar_system():

@@ -7,9 +7,7 @@ from pssf.certify import (
     DeltaTrace,
     Projection,
     check_compatibility,
-    check_jacobian,
     delta_bound,
-    direct_transport_floor,
     make_certificate,
     projected_disturbance,
     projected_dynamics,
@@ -20,7 +18,9 @@ from pssf.dynamics import ControlAffineSystem, Trajectory
 from pssf.ioutil import read_csv
 from pssf.kfun import Linear, NotInvertibleError, Power, compose
 from pssf.learning import FeatureMap, ResidualModel
-from pssf.scenario import build_scenario, planar_disk_demo
+from pssf.scenario import build_scenario
+
+from oracles import check_jacobian, direct_transport_floor, planar_disk_demo
 
 
 def random_affine_instance(rng, n=3, m=2):

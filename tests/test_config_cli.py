@@ -51,6 +51,10 @@ class TestConfigValidation:
     def test_unknown_nested_key(self):
         with pytest.raises(ConfigError):
             validate_config({"controller": {"kp": 1.0, "kpp": 2.0}})
+        with pytest.raises(ConfigError, match="excitation"):
+            validate_config({"controller": {"excitation": {"amplitude": 1.0}}})
+        with pytest.raises(ConfigError, match="enabled"):
+            validate_config({"learning": {"enabled": True}})
 
     def test_type_errors_caught(self):
         with pytest.raises(ConfigError):
@@ -76,6 +80,12 @@ class TestConfigValidation:
         with pytest.raises(ConfigError, match="alpha"):
             validate_config({"barrier": {"alpha": {"family": "tabulated",
                                                    "breakpoints": [[-1, -1], [0, 0], [math.inf, 1]]}}})
+        # Valid alphas whose inverse cannot be built: k^-1 overflows, c^(-1/p) overflows or underflows.
+        for alpha in ({"family": "linear", "k": 1.0e-320},
+                      {"family": "power", "c": 1.0e-300, "p": 0.01},
+                      {"family": "power", "c": 1.0e+300, "p": 0.01}):
+            with pytest.raises(ConfigError, match="alpha"):
+                validate_config({"barrier": {"alpha": alpha}})
 
     @pytest.mark.parametrize("features", [{"kind": "polynomial"}, {"kind": "random_fourier", "count": 4}])
     def test_feature_kind_needs_its_keys(self, features):
@@ -242,12 +252,6 @@ class TestLearnCommand:
         path = write_cfg(tmp_path, cfg)
         assert main(["learn", "--config", str(path), "--out", str(tmp_path / "out")]) == 3
         assert "every episode terminated early" in capsys.readouterr().err
-
-    def test_disabled_learning_is_config_error(self, tmp_path):
-        cfg = fast_overrides()
-        cfg["learning"]["enabled"] = False
-        path = write_cfg(tmp_path, cfg)
-        assert main(["learn", "--config", str(path), "--out", str(tmp_path / "out")]) == 2
 
     def test_learned_mode_in_simulate(self, tmp_path):
         path = write_cfg(tmp_path, fast_overrides())

@@ -16,14 +16,14 @@ from pssf.dynamics import (
     SegwayParams,
     SingularMassMatrixError,
     Trajectory,
-    lipschitz_probe,
-    segway_energy,
     segway_nominal,
     segway_true,
     simulate,
     step_rk4,
 )
 from pssf.ioutil import read_csv
+
+from oracles import lipschitz_probe, planar_disk_demo, segway_energy
 
 
 @pytest.fixture
@@ -330,8 +330,6 @@ class TestDisturbanceSignal:
             sig(0.0, np.zeros(2), np.zeros(1))
 
     def test_builtin_toy_signal_never_trips(self):
-        from pssf.scenario import planar_disk_demo
-
         demo = planar_disk_demo()
         sys = demo.system
         traj = simulate(sys, demo.desired, np.array([0.4, 0.1]), 2.0, 1e-3, disturbance=demo.disturbance)

@@ -88,7 +88,7 @@ class TestFeatureMap:
     def test_batch_matches_single(self):
         states = np.random.default_rng(2).normal(size=(20, 4))
         fm = FeatureMap("polynomial", max_degree=2, indices=(1, 2, 3)).fit_normalization(states)
-        batch = fm.batch(states)
+        batch = fm(states)
         for j in range(len(states)):
             assert np.allclose(batch[j], fm(states[j]))
 
