@@ -60,7 +60,7 @@ def main(argv=None) -> int:
     try:
         cfg = load_config(args.config)
     except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
+        print(exc, file=sys.stderr)
         return EXIT_CONFIG
 
     if args.command == "simulate":
@@ -103,7 +103,7 @@ def main(argv=None) -> int:
     try:
         sweep_artifacts(cfg, args.param, values, args.out)
     except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
+        print(exc, file=sys.stderr)
         return EXIT_CONFIG
     return EXIT_OK
 

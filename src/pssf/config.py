@@ -1,9 +1,11 @@
 """Scenario configuration: one flat YAML file per scenario, strictly validated.
 
-Unknown keys are errors everywhere (no silent typos). ``validate_config``
-merges a user config onto the documented defaults and returns the fully
-resolved dictionary, which every run writes beside its outputs so any
-artifact can be reproduced from what sits next to it.
+Each key is declared once, in ``SCHEMA``, with its rule and its default, and
+``DEFAULT_CONFIG`` is read from those defaults. A key with its own default is
+one value that an override replaces whole. Unknown keys are errors
+everywhere (no silent typos). ``validate_config`` returns the fully resolved
+dictionary, which every run writes beside its outputs so any artifact can be
+reproduced from what sits next to it.
 """
 
 from __future__ import annotations
@@ -25,153 +27,80 @@ class ConfigError(ValueError):
     """Invalid, unknown, or ill-typed scenario configuration content."""
 
 
-_SEGWAY_FIELDS = list(SegwayParams.__dataclass_fields__)
-
-DEFAULT_CONFIG = {
-    "system": {
-        **dataclasses.asdict(SegwayParams()),
-        "perturbation": {
-            "scale": dict(BENCHMARK_PERTURBATION.scale),
-            "drop_friction": BENCHMARK_PERTURBATION.drop_friction,
-        },
-    },
-    "barrier": {
-        "pitch_max": 0.3,
-        "pitch_rate_max": 1.0,
-        "alpha": {"family": "linear", "k": 1.0},
-    },
-    "controller": {
-        "kp": 220.0,
-        "kd": 45.0,
-        "u_max": 100.0,
-        "reference": {"amplitude": 0.25, "frequency": 0.45},
-    },
-    "learning": {
-        "episodes": 5,
-        "episode_duration": 10.0,
-        "features": {"kind": "polynomial", "max_degree": 2, "indices": [1, 2, 3], "seed": 0},
-        "ridge_lambda": 1.0e-3,
-        "excitation": {"amplitude": 8.0, "hold_steps": 20},
-        "x0_jitter": None,
-        "noise_std": None,
-    },
-    "run": {
-        "duration": 10.0,
-        "dt": 1.0e-3,
-        "seed": 0,
-        "x0": [0.0, 0.0, 0.0, 0.0],
-    },
-}
+_SEGWAY_DEFAULTS = dataclasses.asdict(SegwayParams())
 
 _NUMBER = {"type": "number"}
 _POSITIVE = {"type": "number", "exclusiveMinimum": 0}
 _NONNEGATIVE = {"type": "number", "minimum": 0}
+_AT_LEAST_ONE = {"type": "integer", "minimum": 1}
+_FOUR_NONNEGATIVE = {"type": "array", "items": _NONNEGATIVE, "minItems": 4, "maxItems": 4}
 
-_FEATURES_SCHEMA = {
-    "type": "object",
-    "additionalProperties": False,
-    "properties": {
-        "kind": {"enum": ["polynomial", "random_fourier"]},
-        "max_degree": {"type": "integer", "minimum": 1},
-        "count": {"type": "integer", "minimum": 1},
-        "bandwidth": _POSITIVE,
-        "seed": {"type": "integer"},
-        "indices": {"type": "array", "items": {"type": "integer", "minimum": 0, "maximum": 3}},
-    },
-    "required": ["kind"],
-}
 
-SCHEMA = {
-    "type": "object",
-    "additionalProperties": False,
-    "required": ["system", "barrier", "controller", "learning", "run"],
-    "properties": {
-        "system": {
-            "type": "object",
-            "additionalProperties": False,
-            "properties": {
-                **{name: _POSITIVE for name in _SEGWAY_FIELDS if name != "viscous_friction"},
-                "viscous_friction": _NONNEGATIVE,
-                "perturbation": {
-                    "type": "object",
-                    "additionalProperties": False,
-                    "properties": {
-                        "scale": {
-                            "type": "object",
-                            "propertyNames": {"enum": _SEGWAY_FIELDS},
-                            "additionalProperties": _POSITIVE,
-                        },
-                        "drop_friction": {"type": "boolean"},
-                    },
-                },
-            },
-        },
-        "barrier": {
-            "type": "object",
-            "additionalProperties": False,
-            "properties": {
-                "pitch_max": _POSITIVE,
-                "pitch_rate_max": _POSITIVE,
-                "alpha": {"type": "object"},
-            },
-        },
-        "controller": {
-            "type": "object",
-            "additionalProperties": False,
-            "properties": {
-                "kp": _NUMBER,
-                "kd": _NUMBER,
-                "u_max": _POSITIVE,
-                "reference": {
-                    "type": "object",
-                    "additionalProperties": False,
-                    "properties": {"amplitude": _NONNEGATIVE, "frequency": _NONNEGATIVE},
-                },
-            },
-        },
-        "learning": {
-            "type": "object",
-            "additionalProperties": False,
-            "properties": {
-                "episodes": {"type": "integer", "minimum": 1},
-                "episode_duration": _POSITIVE,
-                "features": _FEATURES_SCHEMA,
-                "ridge_lambda": _POSITIVE,
-                "excitation": {
-                    "type": "object",
-                    "additionalProperties": False,
-                    "properties": {
-                        "amplitude": _NONNEGATIVE,
-                        "hold_steps": {"type": "integer", "minimum": 1},
-                    },
-                },
-                "x0_jitter": {
-                    "anyOf": [
-                        {"type": "null"},
-                        {"type": "array", "items": _NONNEGATIVE, "minItems": 4, "maxItems": 4},
-                    ]
-                },
-                "noise_std": {
-                    "anyOf": [
-                        {"type": "null"},
-                        _NONNEGATIVE,
-                        {"type": "array", "items": _NONNEGATIVE, "minItems": 4, "maxItems": 4},
-                    ]
-                },
-            },
-        },
-        "run": {
-            "type": "object",
-            "additionalProperties": False,
-            "properties": {
-                "duration": _POSITIVE,
-                "dt": _POSITIVE,
-                "seed": {"type": "integer"},
-                "x0": {"type": "array", "items": _NUMBER, "minItems": 4, "maxItems": 4},
-            },
-        },
-    },
-}
+def _leaf(rule: dict, default) -> dict:
+    return {**rule, "default": default}
+
+
+def _block(properties: dict, **extra) -> dict:
+    """An object whose keys are exactly ``properties``."""
+    return {"type": "object", "additionalProperties": False, **extra, "properties": properties}
+
+
+# The one declaration of every config key: its rule and, under "default", its
+# default value. A block with its own default is one value and is replaced
+# whole by an override; a block without one takes its keys' defaults.
+SCHEMA = _block(required=["system", "barrier", "controller", "learning", "run"], properties={
+    "system": _block({
+        **{name: _leaf(_POSITIVE, value) for name, value in _SEGWAY_DEFAULTS.items() if name != "viscous_friction"},
+        "viscous_friction": _leaf(_NONNEGATIVE, _SEGWAY_DEFAULTS["viscous_friction"]),
+        "perturbation": _block({
+            "scale": _leaf({"type": "object", "propertyNames": {"enum": list(_SEGWAY_DEFAULTS)},
+                            "additionalProperties": _POSITIVE}, dict(BENCHMARK_PERTURBATION.scale)),
+            "drop_friction": _leaf({"type": "boolean"}, BENCHMARK_PERTURBATION.drop_friction),
+        }),
+    }),
+    "barrier": _block({
+        "pitch_max": _leaf(_POSITIVE, 0.3),
+        "pitch_rate_max": _leaf(_POSITIVE, 1.0),
+        "alpha": _leaf({"type": "object"}, {"family": "linear", "k": 1.0}),
+    }),
+    "controller": _block({
+        "kp": _leaf(_NUMBER, 220.0),
+        "kd": _leaf(_NUMBER, 45.0),
+        "u_max": _leaf(_POSITIVE, 100.0),
+        "reference": _block({"amplitude": _leaf(_NONNEGATIVE, 0.25), "frequency": _leaf(_NONNEGATIVE, 0.45)}),
+    }),
+    "learning": _block({
+        "episodes": _leaf(_AT_LEAST_ONE, 5),
+        "episode_duration": _leaf(_POSITIVE, 10.0),
+        "features": _leaf({**_block({
+            "kind": {"enum": ["polynomial", "random_fourier"]},
+            "max_degree": _AT_LEAST_ONE,
+            "count": _AT_LEAST_ONE,
+            "bandwidth": _POSITIVE,
+            "seed": {"type": "integer"},
+            "indices": {"type": "array", "items": {"type": "integer", "minimum": 0, "maximum": 3}},
+        }), "required": ["kind"]}, {"kind": "polynomial", "max_degree": 2, "indices": [1, 2, 3], "seed": 0}),
+        "ridge_lambda": _leaf(_POSITIVE, 1.0e-3),
+        "excitation": _block({"amplitude": _leaf(_NONNEGATIVE, 8.0), "hold_steps": _leaf(_AT_LEAST_ONE, 20)}),
+        "x0_jitter": _leaf({"anyOf": [{"type": "null"}, _FOUR_NONNEGATIVE]}, None),
+        "noise_std": _leaf({"anyOf": [{"type": "null"}, _NONNEGATIVE, _FOUR_NONNEGATIVE]}, None),
+    }),
+    "run": _block({
+        "duration": _leaf(_POSITIVE, 10.0),
+        "dt": _leaf(_POSITIVE, 1.0e-3),
+        "seed": _leaf({"type": "integer"}, 0),
+        "x0": _leaf({"type": "array", "items": _NUMBER, "minItems": 4, "maxItems": 4}, [0.0, 0.0, 0.0, 0.0]),
+    }),
+})
+
+
+def _defaults(schema: dict):
+    if "default" in schema:
+        return copy.deepcopy(schema["default"])
+    return {key: _defaults(sub) for key, sub in schema["properties"].items()}
+
+
+DEFAULT_CONFIG = _defaults(SCHEMA)
 
 # Built and checked against its metaschema once: jsonschema.validate repeats that check on every call.
 # A number must also fit a finite float: YAML's .inf and .nan, or an integer
@@ -183,21 +112,13 @@ _VALIDATOR = jsonschema.validators.extend(_BASE_VALIDATOR, type_checker=_BASE_VA
 _VALIDATOR.check_schema(SCHEMA)
 
 
-# Blocks whose keys form one value (a scaling map, a function family spec):
-# a user override replaces them wholesale instead of merging with defaults.
-_REPLACE_PATHS = {
-    ("system", "perturbation", "scale"),
-    ("barrier", "alpha"),
-    ("learning", "features"),
-}
-
-
-def _deep_merge(base: dict, override: dict, path: tuple = ()) -> dict:
+def _merge(schema: dict, base: dict, override: dict) -> dict:
+    """Override onto base: blocks without their own default merge key by key, all else is replaced whole."""
     out = copy.deepcopy(base)
     for key, value in override.items():
-        here = path + (key,)
-        if isinstance(value, dict) and isinstance(out.get(key), dict) and here not in _REPLACE_PATHS:
-            out[key] = _deep_merge(out[key], value, here)
+        sub = schema["properties"].get(key, {})
+        if isinstance(value, dict) and "properties" in sub and "default" not in sub:
+            out[key] = _merge(sub, out[key], value)
         else:
             out[key] = copy.deepcopy(value)
     return out
@@ -206,20 +127,28 @@ def _deep_merge(base: dict, override: dict, path: tuple = ()) -> dict:
 def validate_config(user: dict) -> dict:
     """Merge onto defaults and validate; returns the fully resolved config."""
     if not isinstance(user, dict):
-        raise ConfigError(f"config must be a mapping, got {type(user).__name__}")
-    resolved = _deep_merge(DEFAULT_CONFIG, user)
+        raise ConfigError(f"config error: config must be a mapping, got {type(user).__name__}")
+    resolved = _merge(SCHEMA, DEFAULT_CONFIG, user)
     error = jsonschema.exceptions.best_match(_VALIDATOR.iter_errors(resolved))
     if error is not None:
         path = ".".join(str(p) for p in error.absolute_path) or "<root>"
         raise ConfigError(f"config error at {path}: {error.message}") from error
 
     # The alpha and feature blocks have kind-specific keys; the parsers that
-    # build them are the authority on those. Every certificate needs alpha^-1,
-    # so an alpha whose inverse overflows or underflows is rejected here too.
+    # build them are the authority on those. The filter evaluates alpha at
+    # any h and every certificate needs alpha^-1 at any delta_bar >= 0, so
+    # alpha must have a representable inverse and take all reals.
     try:
-        kfun.from_config(resolved["barrier"]["alpha"]).inverse()
+        alpha = kfun.from_config(resolved["barrier"]["alpha"])
     except (ValueError, TypeError, OverflowError) as exc:
         raise ConfigError(f"config error at barrier.alpha: {exc}") from exc
+    try:
+        alpha.inverse()
+    except (ValueError, OverflowError) as exc:
+        raise ConfigError(f"config error at barrier.alpha: alpha^-1 is not representable: {exc}") from exc
+    if alpha.domain_kind != kfun.Domain():
+        raise ConfigError("config error at barrier.alpha: alpha must be defined on all reals (extended class "
+                          f"K-infinity), got [{alpha.domain_kind.lower}, {alpha.domain_kind.upper}]")
     try:
         FeatureMap.from_config(resolved["learning"]["features"])
     except ValueError as exc:
@@ -231,12 +160,12 @@ def load_config(path) -> dict:
     """Read a YAML scenario file and return the resolved config."""
     path = Path(path)
     if not path.exists():
-        raise ConfigError(f"config file not found: {path}")
+        raise ConfigError(f"config error: file not found: {path}")
     try:
         with open(path) as fh:
             user = yaml.safe_load(fh)
     except yaml.YAMLError as exc:
-        raise ConfigError(f"cannot parse {path}: {exc}") from exc
+        raise ConfigError(f"config error: cannot parse {path}: {exc}") from exc
     if user is None:
         user = {}
     return validate_config(user)
@@ -257,12 +186,12 @@ def set_by_path(cfg: dict, dotted: str, value: float) -> dict:
     node = out
     for key in keys[:-1]:
         if not isinstance(node, dict) or key not in node:
-            raise ConfigError(f"no config entry at {dotted!r}")
+            raise ConfigError(f"config error: no config entry at {dotted!r}")
         node = node[key]
     leaf = keys[-1]
     if not isinstance(node, dict) or leaf not in node:
-        raise ConfigError(f"no config entry at {dotted!r}")
+        raise ConfigError(f"config error: no config entry at {dotted!r}")
     if isinstance(node[leaf], bool) or not isinstance(node[leaf], (int, float)):
-        raise ConfigError(f"config entry at {dotted!r} is not numeric")
+        raise ConfigError(f"config error: config entry at {dotted!r} is not numeric")
     node[leaf] = int(value) if isinstance(node[leaf], int) and float(value).is_integer() else float(value)
     return out

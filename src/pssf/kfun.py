@@ -32,10 +32,6 @@ from typing import Sequence
 
 import numpy as np
 
-#: Fixed geometric grid used for unboundedness probes and spot checks.
-PROBE_GRID = tuple(sorted(s * 10.0**j for s in (-1.0, 1.0) for j in range(-3, 4)))
-
-
 class DomainError(ValueError):
     """Argument lies outside the comparison function's domain."""
 
@@ -46,7 +42,7 @@ class NotInvertibleError(ValueError):
 
 @dataclass(frozen=True)
 class Domain:
-    """Finite arguments in [lower, upper], and 0; extended reaches below 0, unbounded has no upper end."""
+    """Finite arguments in [lower, upper], and 0; extended reaches below 0."""
 
     lower: float = -math.inf
     upper: float = math.inf
@@ -54,10 +50,6 @@ class Domain:
     @property
     def extended(self) -> bool:
         return self.lower < 0.0
-
-    @property
-    def unbounded(self) -> bool:
-        return self.upper == math.inf
 
     def contains(self, r: float) -> bool:
         return r == 0.0 or (self.lower <= r <= self.upper and math.isfinite(r))
@@ -240,33 +232,8 @@ def verify_class_membership(alpha: ComparisonFunction, grid: Sequence[float]) ->
     return MembershipReport()
 
 
-def probe_unboundedness(alpha: ComparisonFunction) -> bool:
-    """Heuristic unboundedness evidence on the fixed geometric probe grid.
-
-    True when values keep growing across the in-domain part of
-    :data:`PROBE_GRID` (in both directions for extended functions). A sampled
-    check cannot prove unboundedness; this is the documented artifact probe.
-    """
-    pts = [r for r in PROBE_GRID if alpha.domain_kind.contains(r)]
-    vals = [alpha(r) for r in pts]
-    return all(v2 > v1 for v1, v2 in zip(vals, vals[1:]))
-
-
-def to_config(alpha: ComparisonFunction) -> dict:
-    """Serialize to the scenario-config form (named family + parameters)."""
-    if isinstance(alpha, Linear):
-        return {"family": "linear", "k": alpha.k}
-    if isinstance(alpha, Power):
-        return {"family": "power", "c": alpha.c, "p": alpha.p}
-    if isinstance(alpha, Composition):
-        return {"family": "composition", "outer": to_config(alpha.outer), "inner": to_config(alpha.inner)}
-    if isinstance(alpha, TabulatedMonotone):
-        return {"family": "tabulated", "breakpoints": [[r, v] for r, v in alpha.breakpoints]}
-    raise TypeError(f"cannot serialize {type(alpha).__name__}")
-
-
 def from_config(spec: dict) -> ComparisonFunction:
-    """Inverse of :func:`to_config`. Unknown families or keys are errors."""
+    """Build from the scenario-config form (named family + parameters). Unknown families or keys are errors."""
     if not isinstance(spec, dict) or "family" not in spec:
         raise ValueError(f"comparison function spec needs a 'family' key: {spec!r}")
     family = spec["family"]

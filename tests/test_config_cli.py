@@ -86,6 +86,10 @@ class TestConfigValidation:
                       {"family": "power", "c": 1.0e+300, "p": 0.01}):
             with pytest.raises(ConfigError, match="alpha"):
                 validate_config({"barrier": {"alpha": alpha}})
+        # Tables take only the span of their breakpoints; the filter and the certificate need all reals.
+        for breakpoints in ([[-10, -9], [10, 11]], [[0, 0], [1, 1]], [[-1, -1], [1, 1]]):
+            with pytest.raises(ConfigError, match=r"defined on all reals \(extended class K-infinity\)"):
+                validate_config({"barrier": {"alpha": {"family": "tabulated", "breakpoints": breakpoints}}})
 
     @pytest.mark.parametrize("features", [{"kind": "polynomial"}, {"kind": "random_fourier", "count": 4}])
     def test_feature_kind_needs_its_keys(self, features):
@@ -95,6 +99,9 @@ class TestConfigValidation:
     def test_alpha_replaces_rather_than_merges(self):
         cfg = validate_config({"barrier": {"alpha": {"family": "power", "c": 1.0, "p": 2.0}}})
         assert cfg["barrier"]["alpha"] == {"family": "power", "c": 1.0, "p": 2.0}
+        features = {"kind": "random_fourier", "count": 4, "bandwidth": 1.0}
+        cfg = validate_config({"learning": {"features": features}})
+        assert cfg["learning"]["features"] == features
 
     def test_perturbation_scale_replaces(self):
         cfg = validate_config({"system": {"perturbation": {"scale": {}, "drop_friction": False}}})
@@ -185,12 +192,16 @@ class TestSimulateCommand:
         assert summary["no_learning"]["filter_clamped_steps"] == 0
         assert summary["learned"]["filter_clamped_steps"] == 2
 
-    def test_config_error_exit_code(self, tmp_path):
-        path = write_cfg(tmp_path, {"run": {"dt": -1.0}})
-        assert main(["simulate", "--config", str(path), "--out", str(tmp_path / "out")]) == 2
+    def test_config_error_exit_code(self, tmp_path, capsys):
+        # The second alpha's inverse overflows.
+        for overrides in ({"run": {"dt": -1.0}}, {"barrier": {"alpha": {"family": "power", "c": 1.0e-300, "p": 0.01}}}):
+            path = write_cfg(tmp_path, overrides)
+            assert main(["simulate", "--config", str(path), "--out", str(tmp_path / "out")]) == 2
+            assert capsys.readouterr().err.count("config error") == 1
 
-    def test_missing_config_exit_code(self, tmp_path):
+    def test_missing_config_exit_code(self, tmp_path, capsys):
         assert main(["simulate", "--config", str(tmp_path / "none.yaml"), "--out", str(tmp_path / "out")]) == 2
+        assert capsys.readouterr().err.count("config error") == 1
 
     def test_early_termination_exit_code(self, tmp_path):
         # torque scale large enough to blow the rollout up

@@ -14,7 +14,6 @@ from pssf.kfun import (
     Power,
     TabulatedMonotone,
     compose,
-    probe_unboundedness,
     verify_class_membership,
 )
 
@@ -159,7 +158,6 @@ class TestCompose:
     def test_result_domain_is_weakest_common(self):
         bounded = TabulatedMonotone([(0.0, 0.0), (1.0, 1.0)])
         comp = compose(Linear(2.0), bounded)
-        assert not comp.domain_kind.unbounded
         assert not comp.domain_kind.extended
         assert comp.domain_kind.upper == 1.0
 
@@ -213,25 +211,25 @@ class TestMembership:
         with pytest.raises(ValueError):
             verify_class_membership(Linear(1.0), [-1.0, 1.0])
 
-    def test_unboundedness_probe(self):
-        assert probe_unboundedness(Linear(3.0))
-        assert probe_unboundedness(Power(0.5, 2.0))
-
 
 class TestSerialization:
     @pytest.mark.parametrize(
-        "alpha",
+        "alpha",  # (constructed function, its config spec)
         [
-            Linear(2.5),
-            Power(1.2, 0.5),
-            compose(Linear(2.0), Power(1.0, 2.0)),
-            TabulatedMonotone([(0.0, 0.0), (1.0, 0.4), (2.0, 1.1)]),
+            (Linear(2.5), {"family": "linear", "k": 2.5}),
+            (Power(1.2, 0.5), {"family": "power", "c": 1.2, "p": 0.5}),
+            (compose(Linear(2.0), Power(1.0, 2.0)),
+             {"family": "composition", "outer": {"family": "linear", "k": 2.0},
+              "inner": {"family": "power", "c": 1.0, "p": 2.0}}),
+            (TabulatedMonotone([(0.0, 0.0), (1.0, 0.4), (2.0, 1.1)]),
+             {"family": "tabulated", "breakpoints": [[0.0, 0.0], [1.0, 0.4], [2.0, 1.1]]}),
         ],
     )
     def test_round_trip(self, alpha):
-        rebuilt = kfun.from_config(kfun.to_config(alpha))
+        fn, spec = alpha
+        rebuilt = kfun.from_config(spec)
         for r in (0.0, 0.3, 0.9):
-            assert rebuilt(r) == alpha(r)
+            assert rebuilt(r) == fn(r)
 
     def test_unknown_family_rejected(self):
         with pytest.raises(ValueError):
