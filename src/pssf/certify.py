@@ -99,7 +99,7 @@ class CertificateReport:
     min_h: float
     floor: float
     margin: float
-    status: str  # "pass" | "fail" | "precondition_violated"
+    status: str  # "pass" | "fail" | "precondition_violated" | "terminated_early"
 
     @property
     def passed(self) -> bool:
@@ -242,13 +242,17 @@ def verify_certificate(traj: Trajectory, bar: BarrierFunction, cert: PssfCertifi
 
     The initial condition must already lie in the inflated set
     (h(x0) >= floor); calls violating that get a distinct status instead of
-    a pass/fail verdict. Failures are reported, never masked.
+    a pass/fail verdict. So does a trajectory that terminated early, whose
+    delta_bar and h cover only the part that ran. Failures are reported,
+    never masked.
     """
     h_values = np.array([bar.h(x) for x in traj.states])
     min_h = float(np.min(h_values))
     margin = min_h - cert.floor
     if h_values[0] < cert.floor:
         status = "precondition_violated"
+    elif traj.terminated_early:
+        status = "terminated_early"
     elif margin >= -tol:
         status = "pass"
     else:

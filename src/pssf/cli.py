@@ -68,10 +68,14 @@ def main(argv=None) -> int:
         if args.model:
             try:
                 model = ResidualModel.load(args.model)
-            except (OSError, ValueError, KeyError) as exc:
+            except (OSError, ValueError, KeyError, TypeError) as exc:
                 print(f"config error: cannot load model {args.model}: {exc}", file=sys.stderr)
                 return EXIT_CONFIG
-        summary = simulate_artifacts(cfg, args.out, model=model)
+        try:
+            summary = simulate_artifacts(cfg, args.out, model=model)
+        except ConfigError as exc:
+            print(exc, file=sys.stderr)
+            return EXIT_CONFIG
         code = _simulate_exit(summary)
         no_learn = summary["no_learning"]
         print(f"no_learning: delta_bar={no_learn['delta_bar']:.6g} floor={no_learn['floor']:.6g} "

@@ -20,7 +20,7 @@ import yaml
 
 from . import kfun
 from .dynamics import BENCHMARK_PERTURBATION, SegwayParams
-from .learning import FeatureMap
+from .learning import feature_spec
 
 
 class ConfigError(ValueError):
@@ -150,7 +150,7 @@ def validate_config(user: dict) -> dict:
         raise ConfigError("config error at barrier.alpha: alpha must be defined on all reals (extended class "
                           f"K-infinity), got [{alpha.domain_kind.lower}, {alpha.domain_kind.upper}]")
     try:
-        FeatureMap.from_config(resolved["learning"]["features"])
+        feature_spec(resolved["learning"]["features"])
     except ValueError as exc:
         raise ConfigError(f"config error at learning.features: {exc}") from exc
     return resolved

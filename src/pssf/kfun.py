@@ -232,8 +232,18 @@ def verify_class_membership(alpha: ComparisonFunction, grid: Sequence[float]) ->
     return MembershipReport()
 
 
+def _number(value) -> float:
+    """A config parameter as a float; only int and float values (not bool) are numbers."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ValueError(f"comparison function parameters must be numbers, got {value!r}")
+    return float(value)
+
+
 def from_config(spec: dict) -> ComparisonFunction:
-    """Build from the scenario-config form (named family + parameters). Unknown families or keys are errors."""
+    """Build from the scenario-config form (named family + parameters).
+
+    Unknown families or keys, and parameters that are not int or float, are errors.
+    """
     if not isinstance(spec, dict) or "family" not in spec:
         raise ValueError(f"comparison function spec needs a 'family' key: {spec!r}")
     family = spec["family"]
@@ -241,11 +251,11 @@ def from_config(spec: dict) -> ComparisonFunction:
     if family == "linear":
         if extra != {"k"}:
             raise ValueError(f"linear takes exactly 'k', got {sorted(extra)}")
-        return Linear(float(spec["k"]))
+        return Linear(_number(spec["k"]))
     if family == "power":
         if extra != {"c", "p"}:
             raise ValueError(f"power takes exactly 'c' and 'p', got {sorted(extra)}")
-        return Power(float(spec["c"]), float(spec["p"]))
+        return Power(_number(spec["c"]), _number(spec["p"]))
     if family == "composition":
         if extra != {"outer", "inner"}:
             raise ValueError(f"composition takes exactly 'outer' and 'inner', got {sorted(extra)}")
@@ -253,5 +263,5 @@ def from_config(spec: dict) -> ComparisonFunction:
     if family == "tabulated":
         if extra != {"breakpoints"}:
             raise ValueError(f"tabulated takes exactly 'breakpoints', got {sorted(extra)}")
-        return TabulatedMonotone(spec["breakpoints"])
+        return TabulatedMonotone([(_number(r), _number(v)) for r, v in spec["breakpoints"]])
     raise ValueError(f"unknown comparison function family {family!r}")

@@ -33,6 +33,32 @@ class EpisodicTrainingError(RuntimeError):
     """Every collection episode terminated early; nothing to fit."""
 
 
+_KIND_KEYS = {POLYNOMIAL: ("max_degree",), RANDOM_FOURIER: ("count", "bandwidth")}
+
+
+def feature_spec(cfg: dict) -> dict:
+    """Check a ``learning.features`` block; return kind, seed (default 0), indices (default None) and the kind's keys.
+
+    polynomial takes max_degree >= 1; random_fourier takes count >= 1 and bandwidth > 0.
+    """
+    unknown = set(cfg) - {"kind", "seed", "indices", "max_degree", "count", "bandwidth"}
+    if unknown:
+        raise ValueError(f"unknown feature map keys: {sorted(unknown)}")
+    kind = cfg.get("kind")
+    if kind == POLYNOMIAL:
+        if not (isinstance(cfg.get("max_degree"), int) and cfg["max_degree"] >= 1):
+            raise ValueError("polynomial features need max_degree >= 1")
+    elif kind == RANDOM_FOURIER:
+        count, bandwidth = cfg.get("count"), cfg.get("bandwidth")
+        if not (isinstance(count, int) and count >= 1 and bandwidth and bandwidth > 0):
+            raise ValueError("random_fourier features need count >= 1 and bandwidth > 0")
+    else:
+        raise ValueError(f"unknown feature kind {kind!r}")
+    indices = cfg.get("indices")
+    return {"kind": kind, "seed": cfg.get("seed", 0), "indices": None if indices is None else tuple(indices),
+            **{key: cfg[key] for key in _KIND_KEYS[kind]}}
+
+
 class FeatureMap:
     """Deterministic feature vector phi(x) over selected state coordinates.
 
@@ -41,203 +67,120 @@ class FeatureMap:
         random_fourier(count, bandwidth, seed): sqrt(2/count) cos(W z + b) with
             W ~ N(0, 1/bandwidth^2) drawn from the seed.
 
-    Inputs are normalized per coordinate by an affine map fitted once on the
-    first episode's states (fit_normalization); evaluation before fitting is
-    an error.
+    The selected coordinates are normalized to z = (x - center) / scale. A map
+    is made with its normalization: :meth:`fit` computes it from states, and
+    ``episodic_train`` fits it once, on the first episode it keeps.
     """
 
-    def __init__(
-        self,
-        kind: str,
-        *,
-        max_degree: Optional[int] = None,
-        count: Optional[int] = None,
-        bandwidth: Optional[float] = None,
-        seed: int = 0,
-        indices: Optional[Sequence[int]] = None,
-    ):
-        if kind == POLYNOMIAL:
-            if not (isinstance(max_degree, int) and max_degree >= 1):
-                raise ValueError("polynomial features need max_degree >= 1")
-        elif kind == RANDOM_FOURIER:
-            if not (isinstance(count, int) and count >= 1 and bandwidth and bandwidth > 0):
-                raise ValueError("random_fourier features need count >= 1 and bandwidth > 0")
+    def __init__(self, spec: dict, center, scale):
+        self.spec = feature_spec(spec)
+        self.center = np.asarray(center, dtype=float)
+        self.scale = np.asarray(scale, dtype=float)
+        indices = self.spec["indices"]
+        n_sel = len(indices) if indices is not None else self.center.size
+        if not self.center.shape == self.scale.shape == (n_sel,):
+            raise ValueError(f"center and scale need one entry per selected coordinate, got shapes "
+                             f"{self.center.shape} and {self.scale.shape} for indices {indices}")
+        if not (np.all(np.isfinite(self.center)) and np.all(np.isfinite(self.scale)) and np.all(self.scale > 0.0)):
+            raise ValueError("center must be finite and scale finite and positive")
+        self._select = list(indices) if indices is not None else None
+        if self.spec["kind"] == POLYNOMIAL:
+            # One row of per-coordinate exponents per monomial, by degree.
+            self._exponents = np.array([[combo.count(i) for i in range(n_sel)]
+                                        for deg in range(self.spec["max_degree"] + 1)
+                                        for combo in combinations_with_replacement(range(n_sel), deg)])
+            self.dimension = len(self._exponents)
         else:
-            raise ValueError(f"unknown feature kind {kind!r}")
-        self.kind = kind
-        self.max_degree = max_degree
-        self.count = count
-        self.bandwidth = bandwidth
-        self.seed = seed
-        self.indices = tuple(indices) if indices is not None else None
-        self._center = None
-        self._scale = None
-        self._exponents = None
-        self._weights = None
-        self._phases = None
+            rng = np.random.default_rng(self.spec["seed"])
+            self._weights = rng.normal(size=(self.spec["count"], n_sel)) / self.spec["bandwidth"]
+            self._phases = rng.uniform(0.0, 2.0 * math.pi, size=self.spec["count"])
+            self.dimension = self.spec["count"]
 
-    @property
-    def fitted(self) -> bool:
-        return self._center is not None
-
-    @property
-    def dimension(self) -> int:
-        if self.kind == RANDOM_FOURIER:
-            return int(self.count)
-        if self.indices is None and not self.fitted:
-            raise RuntimeError("dimension unknown until indices are given or normalization is fitted")
-        n_sel = len(self.indices) if self.indices is not None else len(self._center)
-        return math.comb(n_sel + self.max_degree, self.max_degree)
-
-    def fit_normalization(self, states: np.ndarray) -> "FeatureMap":
-        """Fit the per-coordinate affine scaling on (rows, n) state samples."""
+    @classmethod
+    def fit(cls, spec: dict, states: np.ndarray) -> "FeatureMap":
+        """Normalize by the mean and std of the selected coordinates of (rows, n) states; a std below 1e-12 is 1."""
         states = np.asarray(states, dtype=float)
-        sel = states[:, list(self.indices)] if self.indices is not None else states
-        center = sel.mean(axis=0)
+        indices = feature_spec(spec)["indices"]
+        sel = states[:, list(indices)] if indices is not None else states
         scale = sel.std(axis=0)
-        scale = np.where(scale < 1e-12, 1.0, scale)
-        self._set_normalization(center, scale)
-        return self
-
-    def _set_normalization(self, center: np.ndarray, scale: np.ndarray) -> None:
-        self._center = np.asarray(center, dtype=float)
-        self._scale = np.asarray(scale, dtype=float)
-        n_sel = len(self._center)
-        if self.kind == POLYNOMIAL:
-            exps = []
-            for deg in range(self.max_degree + 1):
-                for combo in combinations_with_replacement(range(n_sel), deg):
-                    e = np.zeros(n_sel, dtype=int)
-                    for i in combo:
-                        e[i] += 1
-                    exps.append(e)
-            self._exponents = np.array(exps)
-        else:
-            rng = np.random.default_rng(self.seed)
-            self._weights = rng.normal(size=(self.count, n_sel)) / self.bandwidth
-            self._phases = rng.uniform(0.0, 2.0 * math.pi, size=self.count)
+        return cls(spec, sel.mean(axis=0), np.where(scale < 1e-12, 1.0, scale))
 
     def __call__(self, states: np.ndarray) -> np.ndarray:
         """phi of one state, shape (dimension,), or of each row of a stack, shape (rows, dimension)."""
-        if not self.fitted:
-            raise RuntimeError("FeatureMap used before fit_normalization")
         states = np.asarray(states, dtype=float)
-        sel = states[..., list(self.indices)] if self.indices is not None else states
-        z = (sel - self._center) / self._scale
-        if self.kind == POLYNOMIAL:
+        sel = states[..., self._select] if self._select is not None else states
+        z = (sel - self.center) / self.scale
+        if self.spec["kind"] == POLYNOMIAL:
             return np.prod(z[..., None, :] ** self._exponents, axis=-1)
-        return math.sqrt(2.0 / self.count) * np.cos(z @ self._weights.T + self._phases)
+        return math.sqrt(2.0 / self.spec["count"]) * np.cos(z @ self._weights.T + self._phases)
 
     def to_config(self) -> dict:
-        cfg = {"kind": self.kind, "seed": self.seed,
-               "indices": list(self.indices) if self.indices is not None else None}
-        if self.kind == POLYNOMIAL:
-            cfg["max_degree"] = self.max_degree
-        else:
-            cfg["count"] = self.count
-            cfg["bandwidth"] = self.bandwidth
-        if self.fitted:
-            cfg["center"] = [float(v) for v in self._center]
-            cfg["scale"] = [float(v) for v in self._scale]
-        return cfg
+        indices = self.spec["indices"]
+        return {**self.spec, "indices": list(indices) if indices is not None else None,
+                "center": [float(v) for v in self.center], "scale": [float(v) for v in self.scale]}
 
     @classmethod
     def from_config(cls, cfg: dict) -> "FeatureMap":
-        known = {"kind", "seed", "indices", "max_degree", "count", "bandwidth", "center", "scale"}
-        unknown = set(cfg) - known
-        if unknown:
-            raise ValueError(f"unknown feature map keys: {sorted(unknown)}")
-        fm = cls(
-            cfg["kind"],
-            max_degree=cfg.get("max_degree"),
-            count=cfg.get("count"),
-            bandwidth=cfg.get("bandwidth"),
-            seed=cfg.get("seed", 0),
-            indices=cfg.get("indices"),
-        )
-        if "center" in cfg:
-            fm._set_normalization(np.asarray(cfg["center"]), np.asarray(cfg["scale"]))
-        return fm
-
-
-@dataclass(frozen=True)
-class NoiseSpec:
-    """Gaussian measurement noise on the states used for target differences."""
-
-    std: Union[float, Sequence[float]]
-    rng: np.random.Generator
+        """Inverse of :meth:`to_config`."""
+        spec = {key: value for key, value in cfg.items() if key not in ("center", "scale")}
+        return cls(spec, cfg["center"], cfg["scale"])
 
 
 @dataclass
 class Dataset:
-    """Regression rows (x, u, hdot_target, hdot_nominal), time-ordered per episode."""
+    """Regression rows (x, u, target), time-ordered per episode.
+
+    The target is the measured hdot minus the design model's hdot. The
+    rows carry no normalization; the feature map that fits them has its own.
+    """
 
     states: np.ndarray
     inputs: np.ndarray
-    hdot_target: np.ndarray
-    hdot_nominal: np.ndarray
-    episode_ids: np.ndarray
+    targets: np.ndarray
     hdot_exact: Optional[np.ndarray] = None
 
     def __len__(self) -> int:
-        return len(self.hdot_target)
-
-    def targets(self) -> np.ndarray:
-        """Regression targets: measured hdot minus the model's hdot."""
-        return self.hdot_target - self.hdot_nominal
+        return len(self.targets)
 
     @staticmethod
     def merge(datasets: Sequence["Dataset"]) -> "Dataset":
-        exact = None
-        if all(d.hdot_exact is not None for d in datasets):
-            exact = np.concatenate([d.hdot_exact for d in datasets])
-        return Dataset(
-            states=np.concatenate([d.states for d in datasets]),
-            inputs=np.concatenate([d.inputs for d in datasets]),
-            hdot_target=np.concatenate([d.hdot_target for d in datasets]),
-            hdot_nominal=np.concatenate([d.hdot_nominal for d in datasets]),
-            episode_ids=np.concatenate([d.episode_ids for d in datasets]),
-            hdot_exact=exact,
-        )
+        exact = [d.hdot_exact for d in datasets]
+        return Dataset(np.concatenate([d.states for d in datasets]), np.concatenate([d.inputs for d in datasets]),
+                       np.concatenate([d.targets for d in datasets]),
+                       None if any(e is None for e in exact) else np.concatenate(exact))
 
 
-def collect_episode(scn: "Scenario", traj: Trajectory, noise: Optional[NoiseSpec] = None,
-                    episode_id: int = 0) -> Dataset:
+def collect_episode(scn: "Scenario", traj: Trajectory, noise_std: Union[None, float, Sequence[float]] = None,
+                    rng: Optional[np.random.Generator] = None) -> Dataset:
     """Regression rows from a rollout already recorded on the scenario's plant.
 
-    hdot_target at step j is the central difference
-    (h(y[j+1]) - h(y[j-1])) / (2 dt) on the measured states y, the recorded
-    states plus ``noise`` if given (forward difference at j = 0, which has no
-    left neighbor); hdot_nominal is the design model's hdot at the recorded
-    (x[j], u[j]). The plant's exact hdot is kept alongside for diagnostics.
+    The target at step j is the measured hdot, the central difference
+    (h(y[j+1]) - h(y[j-1])) / (2 dt) on the measured states y (forward
+    difference at j = 0, which has no left neighbor), minus the design
+    model's hdot at the recorded (x[j], u[j]). The measured states are the
+    recorded ones plus Gaussian noise of ``noise_std`` drawn from ``rng`` if
+    given. The plant's exact hdot is kept alongside for diagnostics. The
+    feature normalization is not decided here but in ``episodic_train``.
     """
     bar, dt = scn.barrier, scn.dt
     measured = traj.states
-    if noise is not None:
-        std = np.broadcast_to(np.asarray(noise.std, dtype=float), traj.states.shape[1:])
-        measured = traj.states + noise.rng.normal(size=traj.states.shape) * std
+    if noise_std is not None:
+        std = np.broadcast_to(np.asarray(noise_std, dtype=float), traj.states.shape[1:])
+        measured = traj.states + rng.normal(size=traj.states.shape) * std
 
     n_rows = len(traj.inputs)
     h_meas = np.array([bar.h(y) for y in measured])
-    target = np.empty(n_rows)
-    nominal = np.empty(n_rows)
+    targets = np.empty(n_rows)
     exact = np.empty(n_rows)
     for j in range(n_rows):
         if j == 0:
-            target[j] = (h_meas[1] - h_meas[0]) / dt
+            measured_rate = (h_meas[1] - h_meas[0]) / dt
         else:
-            target[j] = (h_meas[j + 1] - h_meas[j - 1]) / (2.0 * dt)
-        nominal[j] = h_dot(bar, scn.nominal_system, traj.states[j], traj.inputs[j])
+            measured_rate = (h_meas[j + 1] - h_meas[j - 1]) / (2.0 * dt)
+        targets[j] = measured_rate - h_dot(bar, scn.nominal_system, traj.states[j], traj.inputs[j])
         exact[j] = h_dot(bar, scn.true_system, traj.states[j], traj.inputs[j])
 
-    return Dataset(
-        states=traj.states[:n_rows].copy(),
-        inputs=traj.inputs.copy(),
-        hdot_target=target,
-        hdot_nominal=nominal,
-        episode_ids=np.full(n_rows, episode_id, dtype=int),
-        hdot_exact=exact,
-    )
+    return Dataset(traj.states[:n_rows].copy(), traj.inputs.copy(), targets, hdot_exact=exact)
 
 
 @dataclass
@@ -253,6 +196,14 @@ class ResidualModel:
     ridge_lambda: float
     training_rms: float
     ill_conditioned: bool = False
+
+    def __post_init__(self):
+        dim = self.features.dimension
+        if np.shape(self.w_b) != (dim,) or np.ndim(self.W_a) != 2 or np.shape(self.W_a)[1] != dim:
+            raise ValueError(f"weights need shapes ({dim},) and (inputs, {dim}) for {dim} features, "
+                             f"got {np.shape(self.w_b)} and {np.shape(self.W_a)}")
+        if not (np.all(np.isfinite(self.w_b)) and np.all(np.isfinite(self.W_a))):
+            raise ValueError("weights must be finite")
 
     def terms(self, x: np.ndarray) -> tuple[float, np.ndarray]:
         phi = self.features(x)
@@ -286,28 +237,25 @@ class ResidualModel:
 
 
 def fit_residual(data: Dataset, features: FeatureMap, ridge_lambda: float) -> ResidualModel:
-    """Ridge regression of the stacked system in (w_b, vec(W_a)).
+    """Ridge regression of the stacked system in (w_b, vec(W_a)) on the given feature map.
 
     Minimizes sum_j (target_j - w_b.phi_j - (W_a phi_j).u_j)^2
     + lambda (||w_b||^2 + ||W_a||^2) via least squares on the regularized
-    stack. Normalization is fitted on the first episode's rows if absent.
-    The stack's Gram matrix is the regularized Gram matrix, so its condition
-    number is the squared ratio of the stack's extreme singular values, which
-    the least-squares solve already returns. An estimate above 1e12 flags
-    the model as ill conditioned (the solution is still returned).
+    stack. The map is used as given, with the normalization it was made
+    with. The stack's Gram matrix is the regularized Gram matrix, so its
+    condition number is the squared ratio of the stack's extreme singular
+    values, which the least-squares solve already returns. An estimate above
+    1e12 flags the model as ill conditioned (the solution is still returned).
     """
     if len(data) == 0:
         raise ValueError("dataset is empty")
     if not ridge_lambda > 0.0:
         raise ValueError("ridge_lambda must be > 0")
-    if not features.fitted:
-        first = data.episode_ids == data.episode_ids.min()
-        features.fit_normalization(data.states[first])
 
     phi = features(data.states)
     m = data.inputs.shape[1]
     design = np.concatenate([phi] + [phi * data.inputs[:, i:i + 1] for i in range(m)], axis=1)
-    y = data.targets()
+    y = data.targets
     p = design.shape[1]
 
     stack = np.vstack([design, math.sqrt(ridge_lambda) * np.eye(p)])
@@ -321,14 +269,7 @@ def fit_residual(data: Dataset, features: FeatureMap, ridge_lambda: float) -> Re
 
     rms = float(np.sqrt(np.mean((y - design @ w) ** 2)))
     dim = features.dimension
-    return ResidualModel(
-        features=features,
-        w_b=w[:dim],
-        W_a=w[dim:].reshape(m, dim),
-        ridge_lambda=float(ridge_lambda),
-        training_rms=rms,
-        ill_conditioned=ill,
-    )
+    return ResidualModel(features, w[:dim], w[dim:].reshape(m, dim), float(ridge_lambda), rms, ill_conditioned=ill)
 
 
 @dataclass(frozen=True)
@@ -394,14 +335,16 @@ def episodic_train(scn: "Scenario") -> tuple[ResidualModel, EpisodeHistory]:
 
     Episode 0 runs the filter without residual terms; after each episode the
     model is refit on all data aggregated so far and used by the filter in
-    later episodes. Per-episode validation rolls the current filtered
+    later episodes. The feature normalization is decided here, once:
+    ``FeatureMap.fit`` on the states of the first episode kept, and every
+    later fit reuses that map. Per-episode validation rolls the current filtered
     controller out for ``scn.duration`` without excitation and records the
     worst residual delta. Episodes that terminate early are excluded from
     the aggregate with a reason; training aborts only if every episode is
     excluded.
     """
     learn = scn.cfg["learning"]
-    features = FeatureMap.from_config(learn["features"])
+    features: Optional[FeatureMap] = None
     rng = np.random.default_rng(scn.seed)
 
     def validation_delta(residual) -> float:
@@ -420,13 +363,14 @@ def episodic_train(scn: "Scenario") -> tuple[ResidualModel, EpisodeHistory]:
         desired = excite(scn.desired, learn["excitation"]["amplitude"], learn["excitation"]["hold_steps"],
                          scn.dt, learn["episode_duration"], scn.true_system.input_dim, rng)
         traj, controller = scn.rollout(model, desired=desired, x0=x0_e, duration=learn["episode_duration"])
-        noise = NoiseSpec(learn["noise_std"], rng) if learn["noise_std"] is not None else None
-        ds = collect_episode(scn, traj, noise=noise, episode_id=e)  # draws the noise even if excluded
+        ds = collect_episode(scn, traj, learn["noise_std"], rng)  # draws the noise even if excluded
         if traj.terminated_early:
             records.append(EpisodeRecord(e, len(ds), math.nan, math.nan, excluded=True, reason=traj.termination_reason))
             continue
 
         collected.append(ds)
+        if features is None:
+            features = FeatureMap.fit(learn["features"], ds.states)
         model = fit_residual(Dataset.merge(collected), features, learn["ridge_lambda"])
         records.append(EpisodeRecord(
             episode=e,

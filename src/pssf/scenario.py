@@ -24,7 +24,7 @@ from .certify import (
     make_certificate,
     verify_certificate,
 )
-from .config import save_config, set_by_path, validate_config
+from .config import ConfigError, save_config, set_by_path, validate_config
 from .dynamics import (
     ControlAffineSystem,
     PerturbationSpec,
@@ -184,6 +184,9 @@ def simulate_artifacts(cfg: dict, out_dir, model: Optional[ResidualModel] = None
     and summary.json into out_dir. Returns the summary dictionary.
     """
     scn = build_scenario(cfg)
+    if model is not None and len(model.W_a) != scn.true_system.input_dim:
+        raise ConfigError(f"config error: the model's W_a has {len(model.W_a)} rows, one per input, "
+                          f"but the plant has {scn.true_system.input_dim} inputs")
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
 

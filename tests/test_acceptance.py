@@ -238,12 +238,11 @@ class TestCriterion06RegressionOracle:
         for _ in range(100):
             n_rows = int(rng.integers(5, 21))
             indices = (1, 2) if rng.uniform() < 0.5 else (2, 3)
-            features = FeatureMap("polynomial", max_degree=1, indices=indices)
             states = rng.uniform(-1, 1, size=(n_rows, 4))
-            features.fit_normalization(states)
+            features = FeatureMap.fit({"kind": "polynomial", "max_degree": 1, "indices": indices}, states)
             inputs = rng.normal(size=(n_rows, 1))
             targets = rng.normal(size=n_rows)
-            ds = Dataset(states, inputs, targets, np.zeros(n_rows), np.zeros(n_rows, dtype=int))
+            ds = Dataset(states, inputs, targets)
             lam = float(rng.uniform(1e-6, 1.0))
             model = fit_residual(ds, features, lam)
             phi = features(states)
@@ -258,10 +257,9 @@ class TestCriterion06RegressionOracle:
 
     def test_planted_model_recovery(self):
         rng = np.random.default_rng(45)
-        features = FeatureMap("polynomial", max_degree=2, indices=(1, 2, 3))
         dim = math.comb(3 + 2, 2)
         states = rng.uniform(-1, 1, size=(10 * dim, 4))
-        features.fit_normalization(states)
+        features = FeatureMap.fit({"kind": "polynomial", "max_degree": 2, "indices": (1, 2, 3)}, states)
         w_b = rng.normal(size=dim)
         W_a = rng.normal(size=(1, dim))
         inputs = rng.normal(size=(len(states), 1))
@@ -269,7 +267,7 @@ class TestCriterion06RegressionOracle:
             float(w_b @ features(states[j])) + float((W_a @ features(states[j])) @ inputs[j])
             for j in range(len(states))
         ])
-        ds = Dataset(states, inputs, targets, np.zeros(len(states)), np.zeros(len(states), dtype=int))
+        ds = Dataset(states, inputs, targets)
         model = fit_residual(ds, features, 1e-10)
         true = np.concatenate([w_b, W_a.ravel()])
         got = np.concatenate([model.w_b, model.W_a.ravel()])

@@ -157,8 +157,8 @@ class TestProjectedDisturbance:
 
     def test_learned_reductions(self):
         scn = build_scenario({})
-        features = FeatureMap("polynomial", max_degree=1, indices=(2, 3))
-        features.fit_normalization(np.zeros((2, 4)) + np.array([0.0, 0.0, 0.1, 0.1]))
+        features = FeatureMap.fit({"kind": "polynomial", "max_degree": 1, "indices": (2, 3)},
+                                  np.zeros((2, 4)) + np.array([0.0, 0.0, 0.1, 0.1]))
         zero_model = ResidualModel(
             features=features,
             w_b=np.zeros(features.dimension),
@@ -266,12 +266,12 @@ class TestTransport:
 
 
 class TestVerifyCertificate:
-    def _trajectory(self, h_values):
+    def _trajectory(self, h_values, terminated_early=False):
         # 1-state trajectory whose state IS the barrier value
         states = np.asarray(h_values, dtype=float).reshape(-1, 1)
         times = np.arange(len(states)) * 1e-3
         inputs = np.zeros((len(states) - 1, 1))
-        return Trajectory(times=times, states=states, inputs=inputs)
+        return Trajectory(times=times, states=states, inputs=inputs, terminated_early=terminated_early)
 
     def _bar(self):
         return BarrierFunction(h=lambda x: float(x[0]), grad_h=lambda x: np.array([1.0]), alpha=Linear(1.0))
@@ -295,6 +295,15 @@ class TestVerifyCertificate:
         cert = make_certificate(Linear(1.0), 0.5)
         report = verify_certificate(traj, self._bar(), cert)
         assert report.status == "precondition_violated"
+
+    def test_early_termination_distinct_status(self):
+        # h stays above the floor, but the rollout stopped before its duration;
+        # a violated precondition still takes precedence.
+        cert = make_certificate(Linear(1.0), 0.5)
+        for h_values, status in (([0.5, 0.4], "terminated_early"), ([-0.9, 0.0], "precondition_violated")):
+            traj = self._trajectory(h_values, terminated_early=True)
+            report = verify_certificate(traj, self._bar(), cert)
+            assert report.status == status and not report.passed
 
     def test_perfect_model_run_reduces_to_plain_safety(self):
         cfg = {"system": {"perturbation": {"scale": {}, "drop_friction": False}}, "run": {"duration": 1.0}}

@@ -77,6 +77,11 @@ class TestConfigValidation:
             validate_config({"barrier": {"alpha": {"family": "nope"}}})
         with pytest.raises(ConfigError, match="alpha"):
             validate_config({"barrier": {"alpha": {"family": "linear", "k": math.inf}}})
+        # Parameters are int or float: a string or a boolean is not a number.
+        for alpha in ({"family": "linear", "k": "2"}, {"family": "linear", "k": True},
+                      {"family": "power", "c": "1", "p": 2}):
+            with pytest.raises(ConfigError, match="alpha"):
+                validate_config({"barrier": {"alpha": alpha}})
         with pytest.raises(ConfigError, match="alpha"):
             validate_config({"barrier": {"alpha": {"family": "tabulated",
                                                    "breakpoints": [[-1, -1], [0, 0], [math.inf, 1]]}}})
@@ -209,6 +214,9 @@ class TestSimulateCommand:
         path = write_cfg(tmp_path, cfg)
         code = main(["simulate", "--config", str(path), "--out", str(tmp_path / "out")])
         assert code == 3
+        summary = json.loads((tmp_path / "out" / "summary.json").read_text())
+        assert summary["no_learning"]["status"] == "terminated_early"
+        assert not summary["no_learning"]["pass"]
 
     def test_rollout_ending_on_first_step_exit_code(self, tmp_path):
         path = write_cfg(tmp_path, ZERO_STEP_RUN)
@@ -281,6 +289,23 @@ class TestLearnCommand:
         path = write_cfg(tmp_path, fast_overrides())
         assert main(["simulate", "--config", str(path), "--model", str(tmp_path / "nope.json"),
                      "--out", str(tmp_path / "out")]) == 2
+
+    @pytest.mark.parametrize("corrupt", [
+        lambda m: m["W_a"].append(m["W_a"][0]),  # two input rows, the plant has one input
+        lambda m: m["w_b"].pop(),
+        lambda m: m["features"]["center"].pop(),  # shorter than indices
+        lambda m: m["w_b"].__setitem__(0, math.nan),
+        lambda m: m["features"]["scale"].__setitem__(0, 0.0),
+    ], ids=["W_a_rows", "w_b_short", "center_short", "w_b_nan", "scale_zero"])
+    def test_malformed_model_is_config_error(self, tmp_path, capsys, corrupt):
+        model = json.loads((REPO_ROOT / "perfbench" / "inputs" / "model_seed0.json").read_text())
+        corrupt(model)
+        model_path = tmp_path / "model.json"
+        model_path.write_text(json.dumps(model))
+        path = write_cfg(tmp_path, {"run": {"duration": 0.05}})
+        assert main(["simulate", "--config", str(path), "--model", str(model_path),
+                     "--out", str(tmp_path / "out")]) == 2
+        assert capsys.readouterr().err.count("config error") == 1
 
 
 class TestDeterminism:

@@ -4,25 +4,29 @@ import math
 import numpy as np
 import pytest
 
+from pssf.barrier import h_dot
 from pssf.dynamics import ControlAffineSystem, simulate
 from pssf.learning import (
     Dataset,
     EpisodicTrainingError,
     FeatureMap,
-    NoiseSpec,
     ResidualModel,
     collect_episode,
     episodic_train,
+    excite,
     fit_residual,
 )
 from pssf.scenario import build_scenario
 
 
-def make_dataset(rng, features, n_rows, m=1, w_b=None, W_a=None, noise=0.0):
-    """Rows generated by a model inside the feature class."""
+def poly(max_degree, indices=None):
+    return {"kind": "polynomial", "max_degree": max_degree, "indices": indices}
+
+
+def make_dataset(rng, spec, n_rows, m=1, w_b=None, W_a=None, noise=0.0):
+    """Rows generated by a model inside the feature class, and the map fit on their states."""
     states = rng.uniform(-1.0, 1.0, size=(n_rows, 4))
-    if not features.fitted:
-        features.fit_normalization(states)
+    features = FeatureMap.fit(spec, states)
     dim = features.dimension
     if w_b is None:
         w_b = rng.normal(size=dim)
@@ -34,14 +38,7 @@ def make_dataset(rng, features, n_rows, m=1, w_b=None, W_a=None, noise=0.0):
         for j in range(n_rows)
     ])
     targets = targets + noise * rng.normal(size=n_rows)
-    ds = Dataset(
-        states=states,
-        inputs=inputs,
-        hdot_target=targets,
-        hdot_nominal=np.zeros(n_rows),
-        episode_ids=np.zeros(n_rows, dtype=int),
-    )
-    return ds, w_b, W_a
+    return Dataset(states, inputs, targets), features, w_b, W_a
 
 
 def normal_equation_oracle(ds, features, lam):
@@ -52,54 +49,53 @@ def normal_equation_oracle(ds, features, lam):
     design = np.hstack(cols)
     p = design.shape[1]
     gram = design.T @ design + lam * np.eye(p)
-    return np.linalg.solve(gram, design.T @ ds.targets())
+    return np.linalg.solve(gram, design.T @ ds.targets)
 
 
 class TestFeatureMap:
     def test_polynomial_dimension(self):
-        fm = FeatureMap("polynomial", max_degree=2, indices=(1, 2, 3))
+        fm = FeatureMap(poly(2, (1, 2, 3)), np.zeros(3), np.ones(3))
         assert fm.dimension == math.comb(3 + 2, 2)
 
     def test_polynomial_includes_constant_and_cross_terms(self):
-        fm = FeatureMap("polynomial", max_degree=2, indices=(0, 1))
-        fm.fit_normalization(np.array([[0.0, 0.0, 0, 0], [2.0, 4.0, 0, 0]]))
+        fm = FeatureMap.fit(poly(2, (0, 1)), np.array([[0.0, 0.0, 0, 0], [2.0, 4.0, 0, 0]]))
         phi = fm(np.array([1.0, 2.0, 0.0, 0.0]))  # normalized to z = 0
         assert phi[0] == 1.0
         assert np.allclose(phi[1:], 0.0)
 
     def test_random_fourier_deterministic_given_seed(self):
         states = np.random.default_rng(0).normal(size=(50, 4))
-        a = FeatureMap("random_fourier", count=16, bandwidth=1.5, seed=7).fit_normalization(states)
-        b = FeatureMap("random_fourier", count=16, bandwidth=1.5, seed=7).fit_normalization(states)
+        spec = {"kind": "random_fourier", "count": 16, "bandwidth": 1.5, "seed": 7}
+        a, b = FeatureMap.fit(spec, states), FeatureMap.fit(spec, states)
         x = np.array([0.1, -0.2, 0.3, 0.4])
         assert np.array_equal(a(x), b(x))
 
     def test_finite_and_correct_length(self):
         states = np.random.default_rng(1).normal(size=(30, 4))
-        for fm in (
-            FeatureMap("polynomial", max_degree=3),
-            FeatureMap("random_fourier", count=9, bandwidth=0.7),
-        ):
-            fm.fit_normalization(states)
+        for spec in (poly(3), {"kind": "random_fourier", "count": 9, "bandwidth": 0.7}):
+            fm = FeatureMap.fit(spec, states)
             phi = fm(states[0])
             assert phi.shape == (fm.dimension,)
             assert np.all(np.isfinite(phi))
 
     def test_batch_matches_single(self):
         states = np.random.default_rng(2).normal(size=(20, 4))
-        fm = FeatureMap("polynomial", max_degree=2, indices=(1, 2, 3)).fit_normalization(states)
+        fm = FeatureMap.fit(poly(2, (1, 2, 3)), states)
         batch = fm(states)
         for j in range(len(states)):
             assert np.allclose(batch[j], fm(states[j]))
 
-    def test_use_before_fit_rejected(self):
-        fm = FeatureMap("polynomial", max_degree=2, indices=(1, 2))
-        with pytest.raises(RuntimeError):
-            fm(np.zeros(4))
+    @pytest.mark.parametrize("center, scale", [(np.zeros(1), np.ones(2)), (np.zeros(2), np.ones(1)),
+                                               (np.zeros(3), np.ones(3)), (np.zeros((1, 2)), np.ones((1, 2)))])
+    def test_normalization_needs_one_entry_per_coordinate(self, center, scale):
+        with pytest.raises(ValueError, match="one entry per selected coordinate"):
+            FeatureMap(poly(2, (1, 2)), center, scale)
 
-    def test_config_round_trip(self):
+    @pytest.mark.parametrize("spec", [{"kind": "random_fourier", "count": 8, "bandwidth": 2.0, "seed": 3,
+                                       "indices": (1, 3)}, poly(2, (1, 3))], ids=["random_fourier", "polynomial"])
+    def test_config_round_trip(self, spec):
         states = np.random.default_rng(3).normal(size=(10, 4))
-        fm = FeatureMap("random_fourier", count=8, bandwidth=2.0, seed=3, indices=(1, 3)).fit_normalization(states)
+        fm = FeatureMap.fit(spec, states)
         rebuilt = FeatureMap.from_config(fm.to_config())
         x = np.array([0.3, 1.0, -0.4, 0.2])
         assert np.array_equal(fm(x), rebuilt(x))
@@ -112,10 +108,9 @@ class TestFitResidual:
             n_rows = int(rng.integers(5, 21))
             deg = int(rng.integers(1, 3))
             idx = (1, 2) if rng.uniform() < 0.5 else (2, 3)
-            features = FeatureMap("polynomial", max_degree=deg, indices=idx)
-            if features_dimension_too_big(features, idx, deg):
+            if features_dimension_too_big(idx, deg):
                 continue
-            ds, _, _ = make_dataset(rng, features, n_rows, noise=0.1)
+            ds, features, _, _ = make_dataset(rng, poly(deg, idx), n_rows, noise=0.1)
             lam = float(rng.uniform(1e-6, 1.0))
             model = fit_residual(ds, features, lam)
             oracle = normal_equation_oracle(ds, features, lam)
@@ -124,9 +119,8 @@ class TestFitResidual:
 
     def test_planted_model_recovery(self):
         rng = np.random.default_rng(5)
-        features = FeatureMap("polynomial", max_degree=2, indices=(1, 2, 3))
         dim = math.comb(3 + 2, 2)
-        ds, w_b, W_a = make_dataset(rng, features, n_rows=5 * dim * 2, m=1)
+        ds, features, w_b, W_a = make_dataset(rng, poly(2, (1, 2, 3)), n_rows=5 * dim * 2, m=1)
         model = fit_residual(ds, features, 1e-10)
         true = np.concatenate([w_b, W_a.ravel()])
         got = np.concatenate([model.w_b, model.W_a.ravel()])
@@ -137,9 +131,8 @@ class TestFitResidual:
 
     def test_single_row_shrinks_toward_target(self):
         rng = np.random.default_rng(6)
-        features = FeatureMap("polynomial", max_degree=1, indices=(2,))
-        ds, _, _ = make_dataset(rng, features, n_rows=1)
-        target = ds.targets()[0]
+        ds, features, _, _ = make_dataset(rng, poly(1, (2,)), n_rows=1)
+        target = ds.targets[0]
         errors = []
         for lam in (1.0, 1e-3, 1e-8):
             model = fit_residual(ds, features, lam)
@@ -149,8 +142,7 @@ class TestFitResidual:
 
     def test_prediction_affine_in_input(self):
         rng = np.random.default_rng(7)
-        features = FeatureMap("polynomial", max_degree=2, indices=(1, 2, 3))
-        ds, _, _ = make_dataset(rng, features, 40, m=2)
+        ds, features, _, _ = make_dataset(rng, poly(2, (1, 2, 3)), 40, m=2)
         model = fit_residual(ds, features, 1e-4)
         assert not model.ill_conditioned
         for _ in range(20):
@@ -160,14 +152,13 @@ class TestFitResidual:
             assert mid == pytest.approx((model.predict(x, u1) + model.predict(x, u2)) / 2.0, rel=1e-12, abs=1e-12)
 
     def test_zero_weights_predict_zero(self):
-        features = FeatureMap("polynomial", max_degree=1, indices=(1,))
-        features.fit_normalization(np.random.default_rng(8).normal(size=(5, 4)))
+        features = FeatureMap.fit(poly(1, (1,)), np.random.default_rng(8).normal(size=(5, 4)))
         model = ResidualModel(features, np.zeros(2), np.zeros((1, 2)), 1e-4, 0.0)
         assert model.predict(np.ones(4), np.ones(1)) == 0.0
 
     def test_empty_dataset_rejected(self):
-        features = FeatureMap("polynomial", max_degree=1, indices=(1,))
-        ds = Dataset(np.zeros((0, 4)), np.zeros((0, 1)), np.zeros(0), np.zeros(0), np.zeros(0, dtype=int))
+        features = FeatureMap(poly(1, (1,)), np.zeros(1), np.ones(1))
+        ds = Dataset(np.zeros((0, 4)), np.zeros((0, 1)), np.zeros(0))
         with pytest.raises(ValueError):
             fit_residual(ds, features, 1e-4)
 
@@ -177,10 +168,8 @@ class TestFitResidual:
         states = np.zeros((40, 4))
         states[:, 1] = rng.normal(size=40)
         states[:, 2] = states[:, 1]
-        features = FeatureMap("polynomial", max_degree=2, indices=(1, 2))
-        features.fit_normalization(states)
-        ds = Dataset(states, rng.normal(size=(40, 1)), rng.normal(size=40), np.zeros(40),
-                     np.zeros(40, dtype=int))
+        features = FeatureMap.fit(poly(2, (1, 2)), states)
+        ds = Dataset(states, rng.normal(size=(40, 1)), rng.normal(size=40))
         with pytest.warns(UserWarning):
             model = fit_residual(ds, features, 1e-14)
         assert model.ill_conditioned
@@ -188,8 +177,7 @@ class TestFitResidual:
 
     def test_model_json_round_trip(self, tmp_path):
         rng = np.random.default_rng(10)
-        features = FeatureMap("polynomial", max_degree=2, indices=(1, 2, 3))
-        ds, _, _ = make_dataset(rng, features, 60)
+        ds, features, _, _ = make_dataset(rng, poly(2, (1, 2, 3)), 60)
         model = fit_residual(ds, features, 1e-4)
         path = tmp_path / "model.json"
         model.save(path)
@@ -199,7 +187,7 @@ class TestFitResidual:
         assert loaded.training_rms == model.training_rms
 
 
-def features_dimension_too_big(features, idx, deg):
+def features_dimension_too_big(idx, deg):
     return math.comb(len(idx) + deg, deg) > 8
 
 
@@ -218,7 +206,7 @@ class TestCollectEpisode:
         def mean_abs_target(dt):
             traj = simulate(scn.true_system, lambda x, t: np.zeros(1), x0, 1.0, dt)
             ds = collect_episode(dataclasses.replace(scn, dt=dt), traj)
-            return float(np.mean(np.abs(ds.targets()[1:])))  # row 0 is the forward difference
+            return float(np.mean(np.abs(ds.targets[1:])))  # row 0 is the forward difference
 
         coarse, fine = mean_abs_target(1e-3), mean_abs_target(5e-4)
         assert coarse < 0.1
@@ -230,7 +218,7 @@ class TestCollectEpisode:
         scn = self._scenario(identity=True)
         traj, _ = scn.rollout(duration=1.0)
         ds = collect_episode(scn, traj)
-        assert float(np.mean(np.abs(ds.targets()))) < 0.02
+        assert float(np.mean(np.abs(ds.targets))) < 0.02
 
     def test_benchmark_residual_observable(self):
         scn = self._scenario()
@@ -239,8 +227,8 @@ class TestCollectEpisode:
         ident = self._scenario(identity=True)
         floor_traj, _ = ident.rollout(duration=1.0)
         floor_ds = collect_episode(ident, floor_traj)
-        floor = np.mean(np.abs(floor_ds.targets()))
-        assert np.mean(np.abs(ds.targets())) > 10.0 * floor
+        floor = np.mean(np.abs(floor_ds.targets))
+        assert np.mean(np.abs(ds.targets)) > 10.0 * floor
 
     def test_two_step_episode_has_one_interior_row(self):
         scn = self._scenario(identity=True)
@@ -248,21 +236,21 @@ class TestCollectEpisode:
         traj, _ = scn.rollout(duration=2 * dt)
         ds = collect_episode(scn, traj)
         assert len(ds) == 2  # forward-difference row plus one interior row
-        # recompute the interior central difference independently
+        # recompute the interior central difference, less the model's hdot, independently
         h = [scn.barrier.h(x) for x in traj.states]
-        assert ds.hdot_target[1] == pytest.approx((h[2] - h[0]) / (2 * dt), rel=1e-12)
+        nominal = h_dot(scn.barrier, scn.nominal_system, traj.states[1], traj.inputs[1])
+        assert ds.targets[1] == pytest.approx((h[2] - h[0]) / (2 * dt) - nominal, rel=1e-12)
 
     def test_noise_spec_is_seeded(self):
         scn = self._scenario()
         traj, _ = scn.rollout(duration=0.1)
 
         def run(seed):
-            noise = NoiseSpec(std=1e-4, rng=np.random.default_rng(seed))
-            return collect_episode(scn, traj, noise=noise)
+            return collect_episode(scn, traj, noise_std=1e-4, rng=np.random.default_rng(seed))
         a, b = run(0), run(0)
-        assert np.array_equal(a.hdot_target, b.hdot_target)
+        assert np.array_equal(a.targets, b.targets)
         c = run(1)
-        assert not np.array_equal(a.hdot_target, c.hdot_target)
+        assert not np.array_equal(a.targets, c.targets)
 
 
 class TestEpisodicTrain:
@@ -279,6 +267,21 @@ class TestEpisodicTrain:
         assert history.records[0].episode == 0
         assert np.isfinite(history.records[0].validation_delta_bar)
         assert model.training_rms == history.records[0].training_rms
+
+    def test_normalization_from_first_episode(self):
+        # Episode 0's states, rebuilt from the same generator draws: no x0
+        # jitter, the excitation, then the rollout without residual terms.
+        scn = self._scenario(episodes=2)
+        learn = scn.cfg["learning"]
+        model, _ = episodic_train(scn)
+        rng = np.random.default_rng(scn.seed)
+        desired = excite(scn.desired, learn["excitation"]["amplitude"], learn["excitation"]["hold_steps"],
+                         scn.dt, learn["episode_duration"], scn.true_system.input_dim, rng)
+        traj, _ = scn.rollout(desired=desired, duration=learn["episode_duration"])
+        selected = traj.states[:len(traj.inputs)][:, [1, 2, 3]]
+        std = selected.std(axis=0)
+        assert np.array_equal(model.features.center, selected.mean(axis=0))
+        assert np.array_equal(model.features.scale, np.where(std < 1e-12, 1.0, std))
 
     def test_determinism(self):
         scn = self._scenario(episodes=2)
@@ -318,7 +321,7 @@ class TestEpisodicTrain:
         model, history = episodic_train(scn)
         traj, _ = scn.rollout(duration=1.0)
         ds = collect_episode(scn, traj)
-        discretization_floor = float(np.max(np.abs(ds.targets())))
+        discretization_floor = float(np.max(np.abs(ds.targets)))
         for record in history.records:
             assert record.validation_delta_bar <= 100.0 * max(discretization_floor, 1e-12)
 
