@@ -21,7 +21,7 @@ import numpy as np
 from .barrier import BarrierFunction, HdotResidual
 from .dynamics import ControlAffineSystem, Trajectory
 from .ioutil import write_csv
-from .kfun import ComparisonFunction, Linear, compose
+from .kfun import ComparisonFunction, compose
 
 @dataclass(frozen=True)
 class Projection:
@@ -53,14 +53,21 @@ class CompatiblePair:
 
 @dataclass(frozen=True)
 class CompatibilityReport:
-    passed: bool
-    lower_ok: bool
-    upper_ok: bool
-    set_preservation_ok: bool
+    """Outcome of :func:`check_compatibility` over a sample set.
+
+    The worst slacks cover every sample. ``failure`` names the first check
+    ("lower", "upper" or "preservation") that fails at ``first_violation``,
+    the first violating sample, or is None when every sample passes.
+    """
+
     worst_lower_slack: float
     worst_upper_slack: float
-    first_violation: Optional[np.ndarray]
-    samples_checked: int
+    failure: Optional[str] = None
+    first_violation: Optional[np.ndarray] = None
+
+    @property
+    def passed(self) -> bool:
+        return self.failure is None
 
 
 @dataclass(frozen=True)
@@ -85,20 +92,19 @@ class PssfCertificate:
     """Worst-case projected disturbance and the inflated-set floor it implies.
 
     floor = -alpha^-1(delta_bar); the certified claim is that h never drops
-    below the floor along the closed loop.
+    below the floor along the closed loop. One certificate can be checked
+    against many rollouts, each with its own :class:`CertificateReport`.
     """
 
     delta_bar: float
-    alpha: ComparisonFunction
-    inflation: float
     floor: float
 
 
 @dataclass(frozen=True)
 class CertificateReport:
+    """Lowest h along one rollout and the verdict against a certificate's floor."""
+
     min_h: float
-    floor: float
-    margin: float
     status: str  # "pass" | "fail" | "precondition_violated" | "terminated_early"
 
     @property
@@ -128,10 +134,8 @@ def check_compatibility(pair: CompatiblePair, samples: Sequence[np.ndarray], sla
     """
     if len(samples) == 0:
         raise ValueError("samples must be nonempty")
-    worst_lower = np.inf
-    worst_upper = np.inf
-    lower_ok = upper_ok = preserve_ok = True
-    first_violation = None
+    worst_lower = worst_upper = np.inf
+    failure = first_violation = None
     for x in samples:
         x = np.asarray(x, dtype=float)
         hx = pair.barrier.h(x)
@@ -140,28 +144,11 @@ def check_compatibility(pair: CompatiblePair, samples: Sequence[np.ndarray], sla
         hi = pair.sigma_upper(hx) - hp
         worst_lower = min(worst_lower, lo)
         worst_upper = min(worst_upper, hi)
-        bad = False
-        if lo < -slack:
-            lower_ok = False
-            bad = True
-        if hi < -slack:
-            upper_ok = False
-            bad = True
-        if hx >= 0.0 and hp < -slack:
-            preserve_ok = False
-            bad = True
-        if bad and first_violation is None:
-            first_violation = x
-    return CompatibilityReport(
-        passed=lower_ok and upper_ok and preserve_ok,
-        lower_ok=lower_ok,
-        upper_ok=upper_ok,
-        set_preservation_ok=preserve_ok,
-        worst_lower_slack=float(worst_lower),
-        worst_upper_slack=float(worst_upper),
-        first_violation=first_violation,
-        samples_checked=len(samples),
-    )
+        if failure is None:
+            failure = ("lower" if lo < -slack else "upper" if hi < -slack
+                       else "preservation" if hx >= 0.0 and hp < -slack else None)
+            first_violation = None if failure is None else x
+    return CompatibilityReport(float(worst_lower), float(worst_upper), failure, first_violation)
 
 
 def projected_disturbance(
@@ -222,8 +209,7 @@ def make_certificate(alpha: ComparisonFunction, delta_bar: float) -> PssfCertifi
     """Certificate with floor -alpha^-1(delta_bar); for alpha = k r this is -delta_bar/k."""
     if delta_bar < 0.0:
         raise ValueError("delta_bar must be >= 0")
-    inflation = alpha.inverse()(delta_bar)
-    return PssfCertificate(delta_bar=delta_bar, alpha=alpha, inflation=inflation, floor=-inflation)
+    return PssfCertificate(delta_bar=delta_bar, floor=-alpha.inverse()(delta_bar))
 
 
 def transport_inflation(sigma_upper: ComparisonFunction, gamma: ComparisonFunction) -> ComparisonFunction:
@@ -248,24 +234,12 @@ def verify_certificate(traj: Trajectory, bar: BarrierFunction, cert: PssfCertifi
     """
     h_values = np.array([bar.h(x) for x in traj.states])
     min_h = float(np.min(h_values))
-    margin = min_h - cert.floor
     if h_values[0] < cert.floor:
         status = "precondition_violated"
     elif traj.terminated_early:
         status = "terminated_early"
-    elif margin >= -tol:
+    elif min_h - cert.floor >= -tol:
         status = "pass"
     else:
         status = "fail"
-    return CertificateReport(min_h=min_h, floor=cert.floor, margin=margin, status=status)
-
-
-def certificate_json(cert: PssfCertificate, report: Optional[CertificateReport] = None) -> dict:
-    """JSON payload `delta_bar, k, floor, min_h, pass` (k only for linear alpha)."""
-    return {
-        "delta_bar": cert.delta_bar,
-        "k": cert.alpha.k if isinstance(cert.alpha, Linear) else None,
-        "floor": cert.floor,
-        "min_h": report.min_h if report is not None else None,
-        "pass": report.passed if report is not None else None,
-    }
+    return CertificateReport(min_h=min_h, status=status)

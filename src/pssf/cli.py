@@ -10,7 +10,7 @@ import sys
 
 from .config import ConfigError, load_config
 from .learning import EpisodicTrainingError, ResidualModel
-from .scenario import learn_artifacts, simulate_artifacts, sweep_artifacts
+from .scenario import MODES, learn_artifacts, simulate_artifacts, sweep_artifacts
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -44,17 +44,6 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _simulate_exit(summary: dict) -> int:
-    modes = [summary["no_learning"]]
-    if summary["learned"] is not None:
-        modes.append(summary["learned"])
-    if any(m["terminated_early"] for m in modes):
-        return EXIT_EARLY_TERMINATION
-    if any(not m["pass"] for m in modes):
-        return EXIT_CERTIFICATE
-    return EXIT_OK
-
-
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
@@ -76,15 +65,13 @@ def main(argv=None) -> int:
         except ConfigError as exc:
             print(exc, file=sys.stderr)
             return EXIT_CONFIG
-        code = _simulate_exit(summary)
-        no_learn = summary["no_learning"]
-        print(f"no_learning: delta_bar={no_learn['delta_bar']:.6g} floor={no_learn['floor']:.6g} "
-              f"min_h={no_learn['min_h']:.6g} status={no_learn['status']}")
-        if summary["learned"] is not None:
-            lr = summary["learned"]
-            print(f"learned:     delta_bar={lr['delta_bar']:.6g} floor={lr['floor']:.6g} "
-                  f"min_h={lr['min_h']:.6g} status={lr['status']}")
-        return code
+        modes = {name: summary[name] for name in MODES if summary[name] is not None}
+        for name, mode in modes.items():
+            print(f"{name + ':':12} delta_bar={mode['delta_bar']:.6g} floor={mode['floor']:.6g} "
+                  f"min_h={mode['min_h']:.6g} status={mode['status']}")
+        if any(mode["terminated_early"] for mode in modes.values()):
+            return EXIT_EARLY_TERMINATION
+        return EXIT_OK if all(mode["pass"] for mode in modes.values()) else EXIT_CERTIFICATE
 
     if args.command == "learn":
         try:

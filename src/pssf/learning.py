@@ -39,21 +39,22 @@ _KIND_KEYS = {POLYNOMIAL: ("max_degree",), RANDOM_FOURIER: ("count", "bandwidth"
 def feature_spec(cfg: dict) -> dict:
     """Check a ``learning.features`` block; return kind, seed (default 0), indices (default None) and the kind's keys.
 
-    polynomial takes max_degree >= 1; random_fourier takes count >= 1 and bandwidth > 0.
+    polynomial takes max_degree >= 1; random_fourier takes count >= 1 and bandwidth > 0;
+    neither takes the other's keys.
     """
-    unknown = set(cfg) - {"kind", "seed", "indices", "max_degree", "count", "bandwidth"}
-    if unknown:
-        raise ValueError(f"unknown feature map keys: {sorted(unknown)}")
     kind = cfg.get("kind")
+    if kind not in (POLYNOMIAL, RANDOM_FOURIER):
+        raise ValueError(f"unknown feature kind {kind!r}")
+    unknown = set(cfg) - {"kind", "seed", "indices", *_KIND_KEYS[kind]}
+    if unknown:
+        raise ValueError(f"unknown keys for {kind} features: {sorted(unknown)}")
     if kind == POLYNOMIAL:
         if not (isinstance(cfg.get("max_degree"), int) and cfg["max_degree"] >= 1):
             raise ValueError("polynomial features need max_degree >= 1")
-    elif kind == RANDOM_FOURIER:
+    else:
         count, bandwidth = cfg.get("count"), cfg.get("bandwidth")
         if not (isinstance(count, int) and count >= 1 and bandwidth and bandwidth > 0):
             raise ValueError("random_fourier features need count >= 1 and bandwidth > 0")
-    else:
-        raise ValueError(f"unknown feature kind {kind!r}")
     indices = cfg.get("indices")
     return {"kind": kind, "seed": cfg.get("seed", 0), "indices": None if indices is None else tuple(indices),
             **{key: cfg[key] for key in _KIND_KEYS[kind]}}
@@ -122,6 +123,8 @@ class FeatureMap:
     @classmethod
     def from_config(cls, cfg: dict) -> "FeatureMap":
         """Inverse of :meth:`to_config`."""
+        if not isinstance(cfg, dict):
+            raise ValueError(f"a features block must be a mapping, got {cfg!r}")
         spec = {key: value for key, value in cfg.items() if key not in ("center", "scale")}
         return cls(spec, cfg["center"], cfg["scale"])
 

@@ -18,7 +18,6 @@ from . import kfun
 from .barrier import BarrierFunction, FilteredController
 from .certify import (
     DeltaTrace,
-    certificate_json,
     closed_loop_delta_trace,
     delta_bound,
     make_certificate,
@@ -151,64 +150,71 @@ def model_error_drift_sup(scn: Scenario, samples: int = 1000) -> float:
     return worst
 
 
-def _mode_summary(scn: Scenario, residual: Optional[ResidualModel]) -> dict:
-    """Roll out one mode, compute its delta trace and certificate, verify."""
+MODES = ("no_learning", "learned")
+CERTIFICATE_KEYS = ("delta_bar", "floor", "min_h", "pass")
+
+
+def _mode_summary(scn: Scenario, residual: Optional[ResidualModel]) -> tuple[Trajectory, DeltaTrace, dict]:
+    """Roll out one mode, compute its delta trace and certificate, verify; return what each artifact reads."""
     traj, controller = scn.rollout(residual)
     trace = scn.delta_trace(traj, residual)
-    dbar = delta_bound(trace)
-    cert = make_certificate(scn.barrier.alpha, dbar)
+    cert = make_certificate(scn.barrier.alpha, delta_bound(trace))
     report = verify_certificate(traj, scn.barrier, cert)
-    return {
-        "trajectory": traj,
-        "trace": trace,
-        "certificate": cert,
-        "report": report,
-        "summary": {
-            "delta_bar": dbar,
-            "floor": cert.floor,
-            "min_h": report.min_h,
-            "pass": report.passed,
-            "status": report.status,
-            "terminated_early": traj.terminated_early,
-            "termination_reason": traj.termination_reason,
-            "filter_infeasible_steps": controller.infeasible_count,
-            "filter_clamped_steps": controller.clamped_count,
-        },
+    return traj, trace, {
+        **dict(zip(CERTIFICATE_KEYS, (cert.delta_bar, cert.floor, report.min_h, report.passed))),
+        "status": report.status,
+        "terminated_early": traj.terminated_early,
+        "termination_reason": traj.termination_reason,
+        "filter_infeasible_steps": controller.infeasible_count,
+        "filter_clamped_steps": controller.clamped_count,
     }
+
+
+def _check_model_fits(model: ResidualModel, system: ControlAffineSystem) -> None:
+    """Config error unless W_a has one row per input and the feature map selects coordinates of the state."""
+    if len(model.W_a) != system.input_dim:
+        raise ConfigError(f"config error: the model's W_a has {len(model.W_a)} rows, one per input, "
+                          f"but the plant has {system.input_dim} inputs")
+    n, indices = system.state_dim, model.features.spec["indices"]
+    selected = list(range(n)) if indices is None else list(indices)
+    if len(selected) != model.features.center.size or not all(isinstance(i, int) and 0 <= i < n for i in selected):
+        raise ConfigError(f"config error: the model's features select coordinates {selected} with "
+                          f"{model.features.center.size} center entries, but the plant has {n} states")
 
 
 def simulate_artifacts(cfg: dict, out_dir, model: Optional[ResidualModel] = None) -> dict:
     """Run the scenario without (and, given a model, with) learned terms.
 
-    Writes trajectory/delta CSVs, certificate JSONs, the resolved config,
-    and summary.json into out_dir. Returns the summary dictionary.
+    Each mode's summary is built once, by ``_mode_summary``; its trajectory
+    and delta CSVs, ``certificate_<mode>.json`` (``k`` plus the certificate
+    keys) and its ``summary.json`` entry are written from it, with the
+    resolved config, into out_dir. A mode that did not run is None in the
+    returned summary dictionary.
     """
     scn = build_scenario(cfg)
-    if model is not None and len(model.W_a) != scn.true_system.input_dim:
-        raise ConfigError(f"config error: the model's W_a has {len(model.W_a)} rows, one per input, "
-                          f"but the plant has {scn.true_system.input_dim} inputs")
+    if model is not None:
+        _check_model_fits(model, scn.true_system)
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
 
-    modes = {"no_learning": _mode_summary(scn, None)}
+    results = {"no_learning": _mode_summary(scn, None)}
     if model is not None:
-        modes["learned"] = _mode_summary(scn, model)
+        results["learned"] = _mode_summary(scn, model)
 
+    k = scn.barrier.alpha.k if isinstance(scn.barrier.alpha, kfun.Linear) else None
     save_config(scn.cfg, out / "resolved_config.yaml")
-    for name, result in modes.items():
-        result["trajectory"].to_csv(out / f"trajectory_{name}.csv")
-        result["trace"].to_csv(out / f"delta_{name}.csv")
-        write_json(out / f"certificate_{name}.json",
-                   certificate_json(result["certificate"], result["report"]))
+    for name, (traj, trace, entry) in results.items():
+        traj.to_csv(out / f"trajectory_{name}.csv")
+        trace.to_csv(out / f"delta_{name}.csv")
+        write_json(out / f"certificate_{name}.json", {"k": k, **{key: entry[key] for key in CERTIFICATE_KEYS}})
 
     summary = {
         "duration": scn.duration,
         "dt": scn.dt,
         "seed": scn.seed,
-        "k": scn.barrier.alpha.k if isinstance(scn.barrier.alpha, kfun.Linear) else None,
+        "k": k,
         "model_error_drift_sup": model_error_drift_sup(scn),
-        "no_learning": modes["no_learning"]["summary"],
-        "learned": modes["learned"]["summary"] if model is not None else None,
+        **{mode: results[mode][2] if mode in results else None for mode in MODES},
     }
     write_json(out / "summary.json", summary)
     return summary
@@ -237,17 +243,14 @@ def learn_artifacts(cfg: dict, out_dir) -> dict:
     return summary
 
 
-_SWEEP_HEADER = [
-    "value",
-    "delta_bar_no_learning", "floor_no_learning", "min_h_no_learning", "pass_no_learning",
-    "delta_bar_learned", "floor_learned", "min_h_learned", "pass_learned",
-    "status",
-]
+_SWEEP_HEADER = ["value", *(f"{key}_{mode}" for mode in MODES for key in CERTIFICATE_KEYS), "status"]
 
 
-def sweep_artifacts(cfg: dict, param: str, values, out_dir,
-                    model: Optional[ResidualModel] = None) -> list:
-    """Run simulate_artifacts per parameter value; failures stay in-row."""
+def sweep_artifacts(cfg: dict, param: str, values, out_dir) -> list:
+    """Run simulate_artifacts per parameter value; failures stay in-row.
+
+    The learned columns stay blank: a sweep runs no learned mode.
+    """
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     base = validate_config(cfg)
@@ -256,21 +259,11 @@ def sweep_artifacts(cfg: dict, param: str, values, out_dir,
     for i, value in enumerate(values):
         run_dir = out / f"run_{i:03d}"
         try:
-            run_cfg = set_by_path(base, param, value)
-            summary = simulate_artifacts(run_cfg, run_dir, model=model)
-            no_learn = summary["no_learning"]
-            learned = summary["learned"]
-            row = [
-                float(value),
-                no_learn["delta_bar"], no_learn["floor"], no_learn["min_h"], no_learn["pass"],
-                learned["delta_bar"] if learned else None,
-                learned["floor"] if learned else None,
-                learned["min_h"] if learned else None,
-                learned["pass"] if learned else None,
-                "ok",
-            ]
+            summary = simulate_artifacts(set_by_path(base, param, value), run_dir)
+            row = [float(value), *(summary[mode][key] if summary[mode] else None
+                                   for mode in MODES for key in CERTIFICATE_KEYS), "ok"]
         except Exception as exc:  # per-run failures recorded, sweep continues
-            row = [float(value)] + [None] * 8 + [f"error: {type(exc).__name__}: {exc}"]
+            row = [float(value)] + [None] * (len(_SWEEP_HEADER) - 2) + [f"error: {type(exc).__name__}: {exc}"]
         rows.append(row)
     write_csv(out / "sweep.csv", _SWEEP_HEADER, rows)
     return rows

@@ -96,7 +96,8 @@ class TestConfigValidation:
             with pytest.raises(ConfigError, match=r"defined on all reals \(extended class K-infinity\)"):
                 validate_config({"barrier": {"alpha": {"family": "tabulated", "breakpoints": breakpoints}}})
 
-    @pytest.mark.parametrize("features", [{"kind": "polynomial"}, {"kind": "random_fourier", "count": 4}])
+    @pytest.mark.parametrize("features", [{"kind": "polynomial"}, {"kind": "random_fourier", "count": 4},
+                                          {"kind": "polynomial", "max_degree": 2, "count": 5, "bandwidth": 3.0}])
     def test_feature_kind_needs_its_keys(self, features):
         with pytest.raises(ConfigError, match="learning.features"):
             validate_config({"learning": {"features": features}})
@@ -272,10 +273,11 @@ class TestLearnCommand:
         assert main(["learn", "--config", str(path), "--out", str(tmp_path / "out")]) == 3
         assert "every episode terminated early" in capsys.readouterr().err
 
-    def test_learned_mode_in_simulate(self, tmp_path):
+    def test_learned_mode_in_simulate(self, tmp_path, capsys):
         path = write_cfg(tmp_path, fast_overrides())
         learn_out = tmp_path / "learn"
         main(["learn", "--config", str(path), "--out", str(learn_out)])
+        capsys.readouterr()
         sim_out = tmp_path / "sim"
         code = main(["simulate", "--config", str(path), "--model", str(learn_out / "model.json"),
                      "--out", str(sim_out)])
@@ -283,7 +285,15 @@ class TestLearnCommand:
         summary = json.loads((sim_out / "summary.json").read_text())
         assert summary["learned"] is not None
         assert (sim_out / "delta_learned.csv").exists()
-        assert (sim_out / "certificate_learned.json").exists()
+        lines = []
+        for mode, label in (("no_learning", "no_learning: "), ("learned", "learned:     ")):
+            entry = summary[mode]
+            certificate = json.loads((sim_out / f"certificate_{mode}.json").read_text())
+            assert certificate == {"k": summary["k"], "delta_bar": entry["delta_bar"], "floor": entry["floor"],
+                                   "min_h": entry["min_h"], "pass": entry["pass"]}
+            lines.append(f"{label}delta_bar={entry['delta_bar']:.6g} floor={entry['floor']:.6g} "
+                         f"min_h={entry['min_h']:.6g} status={entry['status']}")
+        assert capsys.readouterr().out.splitlines() == lines
 
     def test_bad_model_path_is_config_error(self, tmp_path):
         path = write_cfg(tmp_path, fast_overrides())
@@ -296,7 +306,12 @@ class TestLearnCommand:
         lambda m: m["features"]["center"].pop(),  # shorter than indices
         lambda m: m["w_b"].__setitem__(0, math.nan),
         lambda m: m["features"]["scale"].__setitem__(0, 0.0),
-    ], ids=["W_a_rows", "w_b_short", "center_short", "w_b_nan", "scale_zero"])
+        lambda m: m["features"].__setitem__("indices", None),  # every coordinate, but a 3-entry center
+        lambda m: m.__setitem__("features", [1, 2]),
+        lambda m: m["features"].__setitem__("indices", [1, 2, 7]),  # the plant has 4 states
+        lambda m: m["features"].__setitem__("count", 5),  # a random_fourier key under a polynomial map
+    ], ids=["W_a_rows", "w_b_short", "center_short", "w_b_nan", "scale_zero", "indices_null", "features_list",
+            "index_out_of_range", "polynomial_with_count"])
     def test_malformed_model_is_config_error(self, tmp_path, capsys, corrupt):
         model = json.loads((REPO_ROOT / "perfbench" / "inputs" / "model_seed0.json").read_text())
         corrupt(model)
@@ -351,6 +366,9 @@ class TestSweepCommand:
                      "--values", "1.0", "--out", str(sweep_out)]) == 0
         header, rows = read_csv(sweep_out / "sweep.csv")
         summary = json.loads((sim_out / "summary.json").read_text())
+        assert header == ["value", "delta_bar_no_learning", "floor_no_learning", "min_h_no_learning",
+                          "pass_no_learning", "delta_bar_learned", "floor_learned", "min_h_learned",
+                          "pass_learned", "status"]
         row = dict(zip(header, rows[0]))
         assert float(row["delta_bar_no_learning"]) == summary["no_learning"]["delta_bar"]
         assert row["status"] == "ok"
