@@ -32,7 +32,6 @@ class Projection:
 
     map: Callable[[np.ndarray], np.ndarray]
     jacobian: Callable[[np.ndarray], np.ndarray]
-    output_dim: int
 
 
 @dataclass(frozen=True)

@@ -1,6 +1,7 @@
 """Command-line scenario runner.
 
-Exit codes: 0 ok, 2 config error, 3 early termination, 4 certificate failure.
+Exit codes: 0 ok, 2 config error (the config, ``--model`` or ``--values``), 3
+early termination (a rollout, or every training episode), 4 certificate failure.
 """
 
 from __future__ import annotations
@@ -47,24 +48,24 @@ def _build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
-        cfg = load_config(args.config)
+        return _run(args)
     except ConfigError as exc:
         print(exc, file=sys.stderr)
         return EXIT_CONFIG
+    except EpisodicTrainingError as exc:
+        print(f"training failed: {exc}", file=sys.stderr)
+        return EXIT_EARLY_TERMINATION
 
+
+def _run(args) -> int:
+    """Run one command; a bad config, model or --values raises ConfigError."""
+    cfg = load_config(args.config)
     if args.command == "simulate":
-        model = None
-        if args.model:
-            try:
-                model = ResidualModel.load(args.model)
-            except (OSError, ValueError, KeyError, TypeError) as exc:
-                print(f"config error: cannot load model {args.model}: {exc}", file=sys.stderr)
-                return EXIT_CONFIG
         try:
-            summary = simulate_artifacts(cfg, args.out, model=model)
-        except ConfigError as exc:
-            print(exc, file=sys.stderr)
-            return EXIT_CONFIG
+            model = ResidualModel.load(args.model) if args.model else None
+        except (OSError, ValueError, KeyError, TypeError) as exc:
+            raise ConfigError(f"config error: cannot load model {args.model}: {exc}") from exc
+        summary = simulate_artifacts(cfg, args.out, model=model)
         modes = {name: summary[name] for name in MODES if summary[name] is not None}
         for name, mode in modes.items():
             print(f"{name + ':':12} delta_bar={mode['delta_bar']:.6g} floor={mode['floor']:.6g} "
@@ -74,11 +75,7 @@ def main(argv=None) -> int:
         return EXIT_OK if all(mode["pass"] for mode in modes.values()) else EXIT_CERTIFICATE
 
     if args.command == "learn":
-        try:
-            summary = learn_artifacts(cfg, args.out)
-        except EpisodicTrainingError as exc:
-            print(f"training failed: {exc}", file=sys.stderr)
-            return EXIT_EARLY_TERMINATION
+        summary = learn_artifacts(cfg, args.out)
         print(f"no_learning delta_bar={summary['no_learning_delta_bar']:.6g} "
               f"final validation delta_bar={summary['final_validation_delta_bar']:.6g}")
         return EXIT_OK
@@ -86,16 +83,10 @@ def main(argv=None) -> int:
     try:
         values = [float(v) for v in args.values.split(",") if v.strip() != ""]
     except ValueError as exc:
-        print(f"config error: bad --values: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
+        raise ConfigError(f"config error: bad --values: {exc}") from exc
     if not values:
-        print("config error: --values is empty", file=sys.stderr)
-        return EXIT_CONFIG
-    try:
-        sweep_artifacts(cfg, args.param, values, args.out)
-    except ConfigError as exc:
-        print(exc, file=sys.stderr)
-        return EXIT_CONFIG
+        raise ConfigError("config error: --values is empty")
+    sweep_artifacts(cfg, args.param, values, args.out)
     return EXIT_OK
 
 

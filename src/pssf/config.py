@@ -19,7 +19,7 @@ import jsonschema
 import yaml
 
 from . import kfun
-from .dynamics import BENCHMARK_PERTURBATION, SegwayParams
+from .dynamics import BENCHMARK_PERTURBATION, PerturbationSpec, SegwayParams, step_count
 from .learning import feature_spec
 
 
@@ -124,6 +124,22 @@ def _merge(schema: dict, base: dict, override: dict) -> dict:
     return out
 
 
+def system_params(system: dict) -> tuple[SegwayParams, SegwayParams]:
+    """The plant's parameters and the design model's (the plant's under the perturbation) from a ``system`` block."""
+    params = SegwayParams(**{name: system[name] for name in SegwayParams.__dataclass_fields__})
+    perturbation = system["perturbation"]
+    return params, PerturbationSpec(dict(perturbation["scale"]), perturbation["drop_friction"]).apply(params)
+
+
+def check_steps(duration: float, dt: float, where: str) -> None:
+    """Config error at ``where`` unless duration is a whole number, at least one, of dt steps."""
+    try:
+        if step_count(duration, dt) < 1:
+            raise ValueError(f"duration {duration} is less than one step of dt = {dt}")
+    except ValueError as exc:
+        raise ConfigError(f"config error at {where}: {exc}") from exc
+
+
 def validate_config(user: dict) -> dict:
     """Merge onto defaults and validate; returns the fully resolved config."""
     if not isinstance(user, dict):
@@ -134,10 +150,15 @@ def validate_config(user: dict) -> dict:
         path = ".".join(str(p) for p in error.absolute_path) or "<root>"
         raise ConfigError(f"config error at {path}: {error.message}") from error
 
-    # The alpha and feature blocks have kind-specific keys; the parsers that
-    # build them are the authority on those. The filter evaluates alpha at
-    # any h and every certificate needs alpha^-1 at any delta_bar >= 0, so
-    # alpha must have a representable inverse and take all reals.
+    # The step count, the Segway parameters, and the alpha and feature blocks
+    # (with kind-specific keys) are checked by the code that builds them.
+    check_steps(resolved["run"]["duration"], resolved["run"]["dt"], "run.duration")
+    try:
+        system_params(resolved["system"])
+    except ValueError as exc:
+        raise ConfigError(f"config error at system: {exc}") from exc
+    # The filter evaluates alpha at any h and every certificate needs alpha^-1 at
+    # any delta_bar >= 0, so alpha must have a representable inverse and take all reals.
     try:
         alpha = kfun.from_config(resolved["barrier"]["alpha"])
     except (ValueError, TypeError, OverflowError) as exc:

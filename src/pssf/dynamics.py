@@ -31,10 +31,6 @@ class NonFiniteDynamicsError(RuntimeError):
     """Drift or actuation produced NaN/Inf, which is a hard error."""
 
 
-class SingularMassMatrixError(RuntimeError):
-    """Mass matrix determinant fell below the guard threshold."""
-
-
 class DisturbanceBoundError(RuntimeError):
     """A disturbance sample exceeded its declared sup-norm bound."""
 
@@ -73,7 +69,9 @@ class SegwayParams:
     """Physical parameters of the planar Segway (artifact defaults, SI units).
 
     The defaults describe a plausible human-carrying platform. They are
-    artifact choices kept in config, not measured data.
+    artifact choices kept in config, not measured data. Only parameters whose
+    mass matrix has det D(q) >= 1e-10 at pitch 0, and so at every pitch (see
+    :func:`segway_true`), can be built.
     """
 
     body_mass: float = 44.8
@@ -95,6 +93,11 @@ class SegwayParams:
                 raise ValueError(f"SegwayParams.{name} must be strictly positive")
         if self.viscous_friction < 0.0:
             raise ValueError("SegwayParams.viscous_friction must be >= 0")
+        # segway_true's det expression at cos(pitch) = 1, rounded the same way.
+        ml = self.body_mass * self.com_length
+        det = (self.body_mass + 1.5 * self.wheel_mass) * (self.body_inertia + ml * self.com_length) - ml * ml
+        if not det >= 1e-10:
+            raise ValueError(f"singular mass matrix: det D(q) = {det} at pitch 0.0 is below 1e-10")
 
 
 @dataclass(frozen=True)
@@ -133,6 +136,10 @@ def segway_true(params: SegwayParams) -> ControlAffineSystem:
     The wheel's equivalent translational inertia uses the solid-disc value
     J_w / R^2 = wheel_mass / 2.
 
+    The evaluator needs no singularity guard: |cos(pitch)| <= 1 and rounding
+    is monotone, so det D(q) at any pitch is at least its pitch-0 value, which
+    :class:`SegwayParams` holds at 1e-10 or more.
+
     ``drift`` and ``actuation`` share one mass-matrix evaluation per state:
     the last one is kept, keyed on the bytes of x (values, signs of zero
     included), never on the array's identity.
@@ -160,8 +167,6 @@ def segway_true(params: SegwayParams) -> ControlAffineSystem:
         cos_t = math.cos(pitch)
         d12 = ml * cos_t
         det = d11 * d22 - d12 * d12
-        if abs(det) < 1e-10:
-            raise SingularMassMatrixError(f"det D(q) = {det} at pitch {pitch}")
         # rhs = B tau - C qd - G, with viscous friction acting on vel.
         c1 = -ml * sin_t * rate * rate + friction * vel
         g2 = neg_mgl * sin_t
@@ -186,11 +191,6 @@ def segway_true(params: SegwayParams) -> ControlAffineSystem:
         return np.array([[0.0], [g1], [0.0], [g2]])
 
     return ControlAffineSystem(4, 1, drift, actuation)
-
-
-def segway_nominal(params: SegwayParams, perturbation: PerturbationSpec) -> ControlAffineSystem:
-    """Design model built from perturbed parameters (see PerturbationSpec)."""
-    return segway_true(perturbation.apply(params))
 
 
 @dataclass(frozen=True)
@@ -220,14 +220,18 @@ class Trajectory:
     """Fixed-step rollout record.
 
     len(states) == len(times) and len(inputs) == len(times) - 1; inputs[j]
-    is the zero-order-hold input applied over [times[j], times[j+1]).
+    is the zero-order-hold input applied over [times[j], times[j+1]). A
+    rollout that ended early holds why in ``termination_reason``.
     """
 
     times: np.ndarray
     states: np.ndarray
     inputs: np.ndarray
-    terminated_early: bool = False
     termination_reason: Optional[str] = None
+
+    @property
+    def terminated_early(self) -> bool:
+        return self.termination_reason is not None
 
     def to_csv(self, path) -> None:
         """Write `t, x1..xn, u1..um` rows; the final row has no input cells."""
@@ -277,6 +281,18 @@ def step_rk4(
     return np.array(x_next)
 
 
+def step_count(duration: float, dt: float) -> int:
+    """Number of dt steps in duration; ValueError unless duration/dt is within 1e-9 of an integer.
+
+    Zero steps are allowed; a configured run needs at least one (``config.check_steps``).
+    """
+    steps_exact = duration / dt
+    n_steps = int(round(steps_exact))
+    if abs(steps_exact - n_steps) > 1e-9:
+        raise ValueError(f"duration/dt = {steps_exact} is not close to an integer")
+    return n_steps
+
+
 def simulate(
     system: ControlAffineSystem,
     controller: Callable[[np.ndarray, float], np.ndarray],
@@ -290,12 +306,9 @@ def simulate(
     ``controller(x, t)`` returns the input applied over the following step;
     the recorded inputs are exactly the controller outputs used. Numerical
     blow-up or non-finite dynamics terminate the rollout early with a reason
-    instead of raising. duration/dt must be within 1e-9 of an integer.
+    instead of raising. It runs :func:`step_count` steps.
     """
-    steps_exact = duration / dt
-    n_steps = int(round(steps_exact))
-    if abs(steps_exact - n_steps) > 1e-9:
-        raise ValueError(f"duration/dt = {steps_exact} is not close to an integer")
+    n_steps = step_count(duration, dt)
 
     x = np.asarray(x0, dtype=float).copy()
     if x.shape != (system.state_dim,):
@@ -327,6 +340,5 @@ def simulate(
         times=times,
         states=states[: completed + 1].copy(),
         inputs=inputs[:completed].copy(),
-        terminated_early=reason is not None,
         termination_reason=reason,
     )

@@ -19,7 +19,7 @@ import numpy as np
 
 from .barrier import h_dot
 from .certify import delta_bound
-from .dynamics import Trajectory
+from .dynamics import Trajectory, step_count
 from .ioutil import read_json, write_csv, write_json
 
 if TYPE_CHECKING:
@@ -277,13 +277,18 @@ def fit_residual(data: Dataset, features: FeatureMap, ridge_lambda: float) -> Re
 
 @dataclass(frozen=True)
 class EpisodeRecord:
+    """One episode's metrics; an excluded one (its rollout ended early) holds its ``reason`` and None for both."""
+
     episode: int
     rows: int
-    training_rms: float
-    validation_delta_bar: float
-    excluded: bool = False
+    training_rms: Optional[float]
+    validation_delta_bar: Optional[float]
     reason: Optional[str] = None
     filter_infeasible_steps: int = 0
+
+    @property
+    def excluded(self) -> bool:
+        return self.reason is not None
 
 
 @dataclass
@@ -292,12 +297,7 @@ class EpisodeHistory:
     no_learning_delta_bar: float
 
     def to_csv(self, path) -> None:
-        rows = [
-            [r.episode,
-             None if r.excluded else r.training_rms,
-             None if r.excluded else r.validation_delta_bar]
-            for r in self.records
-        ]
+        rows = [[r.episode, r.training_rms, r.validation_delta_bar] for r in self.records]
         write_csv(path, ["episode", "training_rms", "validation_delta_bar"], rows)
 
 
@@ -313,9 +313,10 @@ def excite(
     """desired(x, t) plus a seeded zero-mean piecewise-constant excitation.
 
     One uniform draw in [-amplitude, amplitude]^input_dim per block of
-    hold_steps steps covering duration; later times keep the last block.
+    hold_steps steps covering the ``step_count(duration, dt)`` steps; later
+    times keep the last block.
     """
-    n_steps = max(1, int(round(duration / dt)))
+    n_steps = step_count(duration, dt)
     values = rng.uniform(-amplitude, amplitude, size=(-(-n_steps // hold_steps), input_dim))
     last = len(values) - 1
 
@@ -368,7 +369,7 @@ def episodic_train(scn: "Scenario") -> tuple[ResidualModel, EpisodeHistory]:
         traj, controller = scn.rollout(model, desired=desired, x0=x0_e, duration=learn["episode_duration"])
         ds = collect_episode(scn, traj, learn["noise_std"], rng)  # draws the noise even if excluded
         if traj.terminated_early:
-            records.append(EpisodeRecord(e, len(ds), math.nan, math.nan, excluded=True, reason=traj.termination_reason))
+            records.append(EpisodeRecord(e, len(ds), None, None, reason=traj.termination_reason))
             continue
 
         collected.append(ds)

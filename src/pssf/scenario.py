@@ -23,16 +23,8 @@ from .certify import (
     make_certificate,
     verify_certificate,
 )
-from .config import ConfigError, save_config, set_by_path, validate_config
-from .dynamics import (
-    ControlAffineSystem,
-    PerturbationSpec,
-    SegwayParams,
-    Trajectory,
-    segway_nominal,
-    segway_true,
-    simulate,
-)
+from .config import ConfigError, check_steps, save_config, set_by_path, system_params, validate_config
+from .dynamics import ControlAffineSystem, Trajectory, segway_true, simulate
 from .ioutil import write_csv, write_json
 from .learning import ResidualModel, episodic_train
 
@@ -108,12 +100,7 @@ class Scenario:
 
 def build_scenario(cfg: dict) -> Scenario:
     cfg = validate_config(cfg)
-    sys_cfg = cfg["system"]
-    params = SegwayParams(**{k: sys_cfg[k] for k in SegwayParams.__dataclass_fields__})
-    perturbation = PerturbationSpec(
-        scale=dict(sys_cfg["perturbation"]["scale"]),
-        drop_friction=sys_cfg["perturbation"]["drop_friction"],
-    )
+    params, design_params = system_params(cfg["system"])
     bar = ellipse_pitch_barrier(cfg["barrier"]["pitch_max"], cfg["barrier"]["pitch_rate_max"],
                                 kfun.from_config(cfg["barrier"]["alpha"]))
     ctl = cfg["controller"]
@@ -123,7 +110,7 @@ def build_scenario(cfg: dict) -> Scenario:
     return Scenario(
         cfg=cfg,
         true_system=segway_true(params),
-        nominal_system=segway_nominal(params, perturbation),
+        nominal_system=segway_true(design_params),
         barrier=bar,
         desired=desired,
         x0=np.asarray(run["x0"], dtype=float),
@@ -195,7 +182,6 @@ def simulate_artifacts(cfg: dict, out_dir, model: Optional[ResidualModel] = None
     if model is not None:
         _check_model_fits(model, scn.true_system)
     out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
 
     results = {"no_learning": _mode_summary(scn, None)}
     if model is not None:
@@ -221,13 +207,13 @@ def simulate_artifacts(cfg: dict, out_dir, model: Optional[ResidualModel] = None
 
 
 def learn_artifacts(cfg: dict, out_dir) -> dict:
-    """Run episodic training; write model.json and per-episode metrics."""
+    """Check episode_duration (only training rolls it out), run episodic training, write model.json and metrics."""
     scn = build_scenario(cfg)
     learn = scn.cfg["learning"]
+    check_steps(learn["episode_duration"], scn.dt, "learning.episode_duration")
     model, history = episodic_train(scn)
 
     out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
     save_config(scn.cfg, out / "resolved_config.yaml")
     model.save(out / "model.json")
     history.to_csv(out / "episodes.csv")
@@ -237,7 +223,7 @@ def learn_artifacts(cfg: dict, out_dir) -> dict:
         "excluded_episodes": sum(1 for r in history.records if r.excluded),
         "no_learning_delta_bar": history.no_learning_delta_bar,
         "final_validation_delta_bar": last.validation_delta_bar,
-        "final_training_rms": last.training_rms,
+        "final_training_rms": model.training_rms,
     }
     write_json(out / "learn_summary.json", summary)
     return summary
@@ -252,7 +238,6 @@ def sweep_artifacts(cfg: dict, param: str, values, out_dir) -> list:
     The learned columns stay blank: a sweep runs no learned mode.
     """
     out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
     base = validate_config(cfg)
     set_by_path(base, param, values[0])  # bad parameter paths are config errors, not row errors
     rows = []

@@ -147,7 +147,6 @@ def planar_disk_demo(k: float = 1.0, dist_bound: float = 0.25,
     projection = Projection(
         map=lambda x: np.array([float(x @ x)]),
         jacobian=lambda x: 2.0 * x.reshape(1, 2),
-        output_dim=1,
     )
 
     def h_proj(y):

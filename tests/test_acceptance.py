@@ -308,8 +308,7 @@ class TestCriterion08IdentityReduction:
         traj, _ = scn.rollout()
 
         proj = Projection(map=lambda x: np.array([scn.barrier.h(x)]),
-                          jacobian=lambda x: scn.barrier.grad_h(x).reshape(1, -1),
-                          output_dim=1)
+                          jacobian=lambda x: scn.barrier.grad_h(x).reshape(1, -1))
         pair = CompatiblePair(
             barrier=scn.barrier,
             h_proj=lambda y: float(np.atleast_1d(y)[0]),

@@ -34,7 +34,7 @@ class TestProjectedDynamics:
     def test_identity_projection(self):
         rng = np.random.default_rng(0)
         sys = random_affine_instance(rng)
-        proj = Projection(map=lambda x: x.copy(), jacobian=lambda x: np.eye(3), output_dim=3)
+        proj = Projection(map=lambda x: x.copy(), jacobian=lambda x: np.eye(3))
         x, u = rng.normal(size=3), rng.normal(size=2)
         assert np.allclose(projected_dynamics(proj, sys, x, u), sys.field_at(x, u))
 
@@ -47,7 +47,7 @@ class TestProjectedDynamics:
             grad_h=lambda x: -2.0 * Q @ x,
             alpha=Linear(1.0),
         )
-        proj = Projection(map=lambda x: np.array([bar.h(x)]), jacobian=lambda x: bar.grad_h(x).reshape(1, 3), output_dim=1)
+        proj = Projection(map=lambda x: np.array([bar.h(x)]), jacobian=lambda x: bar.grad_h(x).reshape(1, 3))
         x, u = rng.normal(size=3), rng.normal(size=2)
         assert projected_dynamics(proj, sys, x, u)[0] == pytest.approx(h_dot(bar, sys, x, u), rel=1e-12)
         d = rng.normal(size=3)
@@ -60,7 +60,6 @@ class TestProjectedDynamics:
         proj = Projection(
             map=lambda x: np.array([float(x @ x), float(np.sin(x[0]))]),
             jacobian=lambda x: np.vstack([2.0 * x, [np.cos(x[0]), 0.0, 0.0]]),
-            output_dim=2,
         )
         for _ in range(20):
             x, u = rng.normal(size=3), rng.normal(size=2)
@@ -83,7 +82,7 @@ class TestCompatibility:
         pair = CompatiblePair(
             barrier=bar,
             h_proj=lambda y: float(np.atleast_1d(y)[0]),
-            projection=Projection(map=lambda x: np.array([bar.h(x)]), jacobian=lambda x: bar.grad_h(x).reshape(1, -1), output_dim=1),
+            projection=Projection(map=lambda x: np.array([bar.h(x)]), jacobian=lambda x: bar.grad_h(x).reshape(1, -1)),
             sigma_lower=Linear(1.0),
             sigma_upper=Linear(1.0),
         )
@@ -96,7 +95,7 @@ class TestCompatibility:
         return CompatiblePair(
             barrier=bar,
             h_proj=lambda y: 2.0 * (1.0 - float(np.atleast_1d(y)[0])),
-            projection=Projection(map=lambda x: np.array([float(x @ x)]), jacobian=lambda x: 2.0 * x.reshape(1, -1), output_dim=1),
+            projection=Projection(map=lambda x: np.array([float(x @ x)]), jacobian=lambda x: 2.0 * x.reshape(1, -1)),
             sigma_lower=Linear(1.0),
             sigma_upper=upper,
         )
@@ -266,12 +265,12 @@ class TestTransport:
 
 
 class TestVerifyCertificate:
-    def _trajectory(self, h_values, terminated_early=False):
+    def _trajectory(self, h_values, reason=None):
         # 1-state trajectory whose state IS the barrier value
         states = np.asarray(h_values, dtype=float).reshape(-1, 1)
         times = np.arange(len(states)) * 1e-3
         inputs = np.zeros((len(states) - 1, 1))
-        return Trajectory(times=times, states=states, inputs=inputs, terminated_early=terminated_early)
+        return Trajectory(times=times, states=states, inputs=inputs, termination_reason=reason)
 
     def _bar(self):
         return BarrierFunction(h=lambda x: float(x[0]), grad_h=lambda x: np.array([1.0]), alpha=Linear(1.0))
@@ -301,7 +300,7 @@ class TestVerifyCertificate:
         # a violated precondition still takes precedence.
         cert = make_certificate(Linear(1.0), 0.5)
         for h_values, status in (([0.5, 0.4], "terminated_early"), ([-0.9, 0.0], "precondition_violated")):
-            traj = self._trajectory(h_values, terminated_early=True)
+            traj = self._trajectory(h_values, reason="numerical blow-up")
             report = verify_certificate(traj, self._bar(), cert)
             assert report.status == status and not report.passed
 

@@ -71,6 +71,12 @@ class TestConfigValidation:
             validate_config({"run": {"x0": [0.0, 0.0, math.nan, 0.0]}})
         with pytest.raises(ConfigError, match="controller.kp"):
             validate_config({"controller": {"kp": 10**400}})
+        # 10.5 and zero steps of run.dt, a singular plant, and a design model only the perturbation makes singular.
+        for where, block in (("run.duration", {"duration": 0.0105}), ("run.duration", {"duration": 1e-15}),
+                             ("system", {"body_mass": 1e-6, "wheel_mass": 1e-6, "body_inertia": 1e-6}),
+                             ("system", {"perturbation": {"scale": {"body_inertia": 1e-13, "wheel_mass": 1e-13}}})):
+            with pytest.raises(ConfigError, match=where):
+                validate_config({where.split(".")[0]: block})
 
     def test_bad_alpha_family(self):
         with pytest.raises(ConfigError, match="alpha"):
@@ -272,6 +278,12 @@ class TestLearnCommand:
         path = write_cfg(tmp_path, cfg)
         assert main(["learn", "--config", str(path), "--out", str(tmp_path / "out")]) == 3
         assert "every episode terminated early" in capsys.readouterr().err
+
+    def test_fractional_episode_steps_is_config_error(self, tmp_path, capsys):
+        path = write_cfg(tmp_path, {"run": {"duration": 0.02}, "learning": {"episodes": 1, "episode_duration": 0.0105}})
+        assert main(["learn", "--config", str(path), "--out", str(tmp_path / "out")]) == 2
+        assert capsys.readouterr().err.count("config error") == 1
+        assert not (tmp_path / "out").exists()
 
     def test_learned_mode_in_simulate(self, tmp_path, capsys):
         path = write_cfg(tmp_path, fast_overrides())

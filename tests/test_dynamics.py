@@ -14,9 +14,7 @@ from pssf.dynamics import (
     NumericalBlowUpError,
     PerturbationSpec,
     SegwayParams,
-    SingularMassMatrixError,
     Trajectory,
-    segway_nominal,
     segway_true,
     simulate,
     step_rk4,
@@ -64,19 +62,19 @@ class TestSegwayModel:
             SegwayParams(viscous_friction=-0.1)
 
     def test_identity_perturbation_matches_pointwise(self, params, segway):
-        nominal = segway_nominal(params, PerturbationSpec())
+        nominal = segway_true(PerturbationSpec().apply(params))
         rng = np.random.default_rng(0)
         for x in random_segway_states(rng, 100):
             assert np.array_equal(segway.drift(x), nominal.drift(x))
             assert np.array_equal(segway.actuation(x), nominal.actuation(x))
 
     def test_benchmark_perturbation_has_drift_error(self, params, segway):
-        nominal = segway_nominal(params, PerturbationSpec(scale={"body_mass": 1.2}, drop_friction=True))
+        nominal = segway_true(PerturbationSpec(scale={"body_mass": 1.2}, drop_friction=True).apply(params))
         x = np.array([0.0, 0.5, 0.1, 0.0])
         assert np.linalg.norm(segway.drift(x) - nominal.drift(x)) > 1e-3
 
     def test_benchmark_perturbation_drift_sup_finite(self, params, segway):
-        nominal = segway_nominal(params, BENCHMARK_PERTURBATION)
+        nominal = segway_true(BENCHMARK_PERTURBATION.apply(params))
         rng = np.random.default_rng(1)
         sup = max(
             float(np.linalg.norm(segway.drift(x) - nominal.drift(x)))
@@ -162,7 +160,7 @@ def assert_bitwise_equal(a, b):
 class TestStepMatchesNumpyOracle:
     @pytest.mark.parametrize("perturbation", [None, BENCHMARK_PERTURBATION])
     def test_segway_random_states(self, params, perturbation):
-        system = segway_true(params) if perturbation is None else segway_nominal(params, perturbation)
+        system = segway_true(params if perturbation is None else perturbation.apply(params))
         rng = np.random.default_rng(20)
         states = random_segway_states(rng, 1000)
         # Exact zeros of either sign exercise the sign rules of g @ u.
@@ -204,11 +202,15 @@ class TestGuards:
         assert len(traj.states) == 1 and len(traj.inputs) == 0
 
     def test_singular_mass_matrix(self):
-        sys = segway_true(SegwayParams(body_inertia=1e-12, wheel_mass=1e-12))
-        x = np.zeros(4)
-        for evaluate in (sys.drift, sys.actuation, sys.drift):
-            with pytest.raises(SingularMassMatrixError):
-                evaluate(x)
+        with pytest.raises(ValueError, match="det D"):
+            SegwayParams(body_inertia=1e-12, wheel_mass=1e-12)
+
+    def test_near_singular_params_stay_finite_at_every_pitch(self):
+        # No det guard in the evaluator: det D(q) at any pitch is at least its pitch-0 value, here 1.5e-10.
+        sys = segway_true(SegwayParams(body_mass=1e-5, com_length=1.0, body_inertia=1e-10, wheel_mass=1e-5))
+        for pitch in np.linspace(-math.pi, math.pi, 1000):
+            x = np.array([0.0, 0.5, pitch, -0.3])
+            assert np.all(np.isfinite(sys.drift(x))) and np.all(np.isfinite(sys.actuation(x)))
 
 
 class TestSharedEvaluation:
@@ -218,7 +220,7 @@ class TestSharedEvaluation:
         rng = np.random.default_rng(22)
         a, b = random_segway_states(rng, 2)
         make = {"true": lambda: segway_true(params),
-                "nominal": lambda: segway_nominal(params, BENCHMARK_PERTURBATION)}
+                "nominal": lambda: segway_true(BENCHMARK_PERTURBATION.apply(params))}
         shared = {name: factory() for name, factory in make.items()}
         calls = [("true", "drift", a), ("true", "actuation", b), ("true", "drift", a),
                  ("nominal", "drift", a), ("true", "actuation", a), ("nominal", "actuation", b),
