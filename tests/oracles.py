@@ -23,6 +23,7 @@ from pssf.barrier import BarrierFunction
 from pssf.certify import CompatiblePair, Projection
 from pssf.dynamics import ControlAffineSystem, DisturbanceSignal, SegwayParams
 from pssf.kfun import ComparisonFunction
+from pssf.learning import POLYNOMIAL, Dataset, FeatureMap
 
 
 def finite_difference_jacobian(fn: Callable[[np.ndarray], np.ndarray], x: np.ndarray, eps: float = 1e-6) -> np.ndarray:
@@ -77,6 +78,35 @@ def direct_transport_floor(sigma_upper: ComparisonFunction, gamma: ComparisonFun
     extended sigma_upper since the argument is negative.
     """
     return sigma_upper.inverse()(-gamma(delta_bar))
+
+
+def feature_map_reference(features: FeatureMap, states: np.ndarray) -> np.ndarray:
+    """``FeatureMap.__call__`` as first written: the selection as a list, the monomials by ``np.prod``."""
+    states = np.asarray(states, dtype=float)
+    indices = features.spec["indices"]
+    sel = states[..., list(indices)] if indices is not None else states
+    z = (sel - features.center) / features.scale
+    if features.spec["kind"] == POLYNOMIAL:
+        return np.prod(z[..., None, :] ** features._exponents, axis=-1)
+    return math.sqrt(2.0 / features.spec["count"]) * np.cos(z @ features._weights.T + features._phases)
+
+
+def fit_residual_reference(data: Dataset, features: FeatureMap,
+                           ridge_lambda: float) -> tuple[np.ndarray, np.ndarray, float, bool]:
+    """``fit_residual`` as first assembled; returns (w_b, W_a, training_rms, ill_conditioned).
+
+    The design is concatenated from phi and each phi * u_i, the regularized
+    stack is a vstack copy of it, and the training rms reads ``design @ w``.
+    """
+    phi = features(data.states)
+    m = data.inputs.shape[1]
+    design = np.concatenate([phi] + [phi * data.inputs[:, i:i + 1] for i in range(m)], axis=1)
+    p = design.shape[1]
+    stack = np.vstack([design, math.sqrt(ridge_lambda) * np.eye(p)])
+    w, _, _, sv = np.linalg.lstsq(stack, np.concatenate([data.targets, np.zeros(p)]), rcond=None)
+    rms = float(np.sqrt(np.mean((data.targets - design @ w) ** 2)))
+    dim = features.dimension
+    return w[:dim], w[dim:].reshape(m, dim), rms, float((sv[0] / sv[-1]) ** 2) > 1e12
 
 
 def lipschitz_probe(fn: Callable[[np.ndarray], np.ndarray], samples: Sequence[np.ndarray]) -> float:

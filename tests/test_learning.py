@@ -1,9 +1,12 @@
 import dataclasses
 import math
+import warnings
 
 import numpy as np
 import pytest
 
+from oracles import feature_map_reference, fit_residual_reference
+from pssf import learning
 from pssf.barrier import h_dot
 from pssf.dynamics import ControlAffineSystem, simulate
 from pssf.learning import (
@@ -84,6 +87,17 @@ class TestFeatureMap:
         batch = fm(states)
         for j in range(len(states)):
             assert np.allclose(batch[j], fm(states[j]))
+
+    @pytest.mark.parametrize("spec", [poly(2, (1, 2, 3)), poly(3),
+                                      {"kind": "random_fourier", "count": 12, "bandwidth": 0.8, "indices": (0, 2)}],
+                             ids=["polynomial", "polynomial_all_coordinates", "random_fourier"])
+    def test_bitwise_equal_to_reference_expression(self, spec):
+        rng = np.random.default_rng(11)
+        states = rng.normal(size=(100_000, 4)) * rng.uniform(0.1, 5.0, size=4)
+        fm = FeatureMap.fit(spec, states[:1000])
+        assert np.array_equal(fm(states), feature_map_reference(fm, states))
+        for x in states[:2000]:
+            assert np.array_equal(fm(x), feature_map_reference(fm, x))
 
     @pytest.mark.parametrize("center, scale", [(np.zeros(1), np.ones(2)), (np.zeros(2), np.ones(1)),
                                                (np.zeros(3), np.ones(3)), (np.zeros((1, 2)), np.ones((1, 2)))])
@@ -174,6 +188,32 @@ class TestFitResidual:
             model = fit_residual(ds, features, 1e-14)
         assert model.ill_conditioned
         assert np.all(np.isfinite(model.w_b))
+
+    @pytest.mark.parametrize("m", [1, 2])
+    @pytest.mark.parametrize("spec", [poly(2, (1, 2, 3)), poly(2),
+                                      {"kind": "random_fourier", "count": 12, "bandwidth": 0.8, "indices": (1, 2, 3)}],
+                             ids=["polynomial", "polynomial_all_coordinates", "random_fourier"])
+    @pytest.mark.parametrize("ridge_lambda", [1e-3, 1e-14])
+    def test_bitwise_equal_to_reference_assembly(self, spec, m, ridge_lambda):
+        # Coordinate 2 repeats coordinate 1, so at lambda 1e-14 the polynomial fits are ill conditioned.
+        # The features nearly explain the targets, so a last-bit change of design @ w shows in the rms.
+        rng = np.random.default_rng(12)
+        states = rng.normal(size=(20_000, 4))
+        states[:, 2] = states[:, 1]
+        features = FeatureMap.fit(spec, states)
+        phi, inputs = features(states), rng.normal(size=(20_000, m))
+        targets = (phi @ rng.normal(size=features.dimension)
+                   + np.sum(phi @ rng.normal(size=(features.dimension, m)) * inputs, axis=1)
+                   + 1e-3 * rng.normal(size=20_000))
+        ds = Dataset(states, inputs, targets)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            model = fit_residual(ds, features, ridge_lambda)
+            w_b, W_a, rms, ill = fit_residual_reference(ds, features, ridge_lambda)
+        assert np.array_equal(model.w_b, w_b)
+        assert np.array_equal(model.W_a, W_a)
+        assert model.training_rms == rms
+        assert model.ill_conditioned == ill == (spec["kind"] == "polynomial" and ridge_lambda < 1e-6)
 
     def test_model_json_round_trip(self, tmp_path):
         rng = np.random.default_rng(10)
@@ -301,6 +341,42 @@ class TestEpisodicTrain:
         plain, _ = episodic_train(self._scenario(episodes=2))
         assert not np.array_equal(m1.w_b, plain.w_b)
         assert not np.array_equal(m1.W_a, plain.W_a)
+
+    def test_excluded_middle_episode_stays_out_of_the_aggregate(self, monkeypatch):
+        # The plant's drift blows up during episode 1's collection rollout only.
+        scn = self._scenario(episodes=3)
+        plant = scn.true_system
+        episode = {"index": -1}
+
+        def drift(x):
+            return np.full(4, 1e9) if episode["index"] == 1 else plant.drift(x)
+
+        def counting_excite(*args):
+            episode["index"] += 1
+            return excite(*args)
+
+        collected, fitted = [], []
+
+        def recording_collect(*args):
+            ds = collect_episode(*args)
+            collected.append(ds)
+            return ds
+
+        def recording_fit(data, *args):
+            fitted.append(data)
+            return fit_residual(data, *args)
+
+        monkeypatch.setattr(learning, "excite", counting_excite)
+        monkeypatch.setattr(learning, "collect_episode", recording_collect)
+        monkeypatch.setattr(learning, "fit_residual", recording_fit)
+        blowing_up = ControlAffineSystem(4, 1, drift=drift, actuation=plant.actuation)
+        _, history = episodic_train(dataclasses.replace(scn, true_system=blowing_up))
+
+        assert [r.excluded for r in history.records] == [False, True, False]
+        assert len(collected) == 3 and len(fitted) == 2
+        for data, kept in zip(fitted, ([collected[0]], [collected[0], collected[2]])):
+            for field in ("states", "inputs", "targets"):
+                assert np.array_equal(getattr(data, field), np.concatenate([getattr(d, field) for d in kept]))
 
     def test_all_episodes_failing_aborts(self):
         scn = self._scenario()
