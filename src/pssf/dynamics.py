@@ -45,10 +45,10 @@ class ControlAffineSystem:
         drift: x -> f(x), shape (n,).
         actuation: x -> g(x), shape (n, m).
 
-    ``drift`` and ``actuation`` must be pure functions of the values of x and
-    return fresh arrays that the caller may keep or modify. :func:`step_rk4`
-    evaluates each of them once per RK stage. Local Lipschitz continuity of
-    f and g is assumed, not checked.
+    ``drift`` and ``actuation`` must be pure functions of the values of x that
+    keep no state between calls, and return fresh arrays that the caller may
+    keep or modify. :func:`step_rk4` evaluates each of them once per RK stage.
+    Local Lipschitz continuity of f and g is assumed, not checked.
     """
 
     state_dim: int
@@ -93,11 +93,15 @@ class SegwayParams:
                 raise ValueError(f"SegwayParams.{name} must be strictly positive")
         if self.viscous_friction < 0.0:
             raise ValueError("SegwayParams.viscous_friction must be >= 0")
-        # segway_true's det expression at cos(pitch) = 1, rounded the same way.
-        ml = self.body_mass * self.com_length
-        det = (self.body_mass + 1.5 * self.wheel_mass) * (self.body_inertia + ml * self.com_length) - ml * ml
+        ml, d11, d22 = self.inertia()
+        det = d11 * d22 - ml * ml  # det D(q) at cos(pitch) = 1
         if not det >= 1e-10:
             raise ValueError(f"singular mass matrix: det D(q) = {det} at pitch 0.0 is below 1e-10")
+
+    def inertia(self) -> tuple[float, float, float]:
+        """(m l, d11, d22): D(q) = [[d11, m l cos(pitch)], [m l cos(pitch), d22]]."""
+        ml = self.body_mass * self.com_length
+        return ml, self.body_mass + 1.5 * self.wheel_mass, self.body_inertia + ml * self.com_length
 
 
 @dataclass(frozen=True)
@@ -136,33 +140,20 @@ def segway_true(params: SegwayParams) -> ControlAffineSystem:
     The wheel's equivalent translational inertia uses the solid-disc value
     J_w / R^2 = wheel_mass / 2.
 
-    The evaluator needs no singularity guard: |cos(pitch)| <= 1 and rounding
+    The evaluators need no singularity guard: |cos(pitch)| <= 1 and rounding
     is monotone, so det D(q) at any pitch is at least its pitch-0 value, which
-    :class:`SegwayParams` holds at 1e-10 or more.
-
-    ``drift`` and ``actuation`` share one mass-matrix evaluation per state:
-    the last one is kept, keyed on the bytes of x (values, signs of zero
-    included), never on the array's identity.
+    :class:`SegwayParams` holds at 1e-10 or more. They keep no state between
+    calls; ``actuation`` reads only the pitch.
     """
     p = params
-    ml = p.body_mass * p.com_length
+    ml, d11, d22 = p.inertia()
     neg_mgl = -p.body_mass * p.gravity * p.com_length
-    d11 = p.body_mass + 1.5 * p.wheel_mass
-    d22 = p.body_inertia + ml * p.com_length
     friction = p.viscous_friction
     b1 = p.motor_torque_scale / p.wheel_radius
     b2 = -p.motor_torque_scale
-    last = (None, None)
 
-    def accelerations(x) -> tuple:
-        """(vel, free1, rate, free2, gain1, gain2) at x: qdd = free + gain * tau."""
-        nonlocal last
-        x = np.asarray(x, dtype=float)
-        key = x.tobytes()
-        cached_key, cached = last
-        if key == cached_key:
-            return cached
-        _, vel, pitch, rate = x.tolist()
+    def drift(x: np.ndarray) -> np.ndarray:
+        _, vel, pitch, rate = np.asarray(x, dtype=float).tolist()
         sin_t = math.sin(pitch)
         cos_t = math.cos(pitch)
         d12 = ml * cos_t
@@ -171,24 +162,13 @@ def segway_true(params: SegwayParams) -> ControlAffineSystem:
         c1 = -ml * sin_t * rate * rate + friction * vel
         g2 = neg_mgl * sin_t
         # Explicit 2x2 inverse: D^-1 = [[d22, -d12], [-d12, d11]] / det.
-        out = (
-            vel,
-            (d22 * (-c1) - d12 * (-g2)) / det,
-            rate,
-            (-d12 * (-c1) + d11 * (-g2)) / det,
-            (d22 * b1 - d12 * b2) / det,
-            (-d12 * b1 + d11 * b2) / det,
-        )
-        last = (key, out)
-        return out
-
-    def drift(x: np.ndarray) -> np.ndarray:
-        vel, f1, rate, f2, _, _ = accelerations(x)
-        return np.array([vel, f1, rate, f2])
+        return np.array([vel, (d22 * (-c1) - d12 * (-g2)) / det, rate, (-d12 * (-c1) + d11 * (-g2)) / det])
 
     def actuation(x: np.ndarray) -> np.ndarray:
-        _, _, _, _, g1, g2 = accelerations(x)
-        return np.array([[0.0], [g1], [0.0], [g2]])
+        _, _, pitch, _ = np.asarray(x, dtype=float).tolist()
+        d12 = ml * math.cos(pitch)
+        det = d11 * d22 - d12 * d12
+        return np.array([[0.0], [(d22 * b1 - d12 * b2) / det], [0.0], [(-d12 * b1 + d11 * b2) / det]])
 
     return ControlAffineSystem(4, 1, drift, actuation)
 

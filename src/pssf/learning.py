@@ -10,6 +10,7 @@ episodes; the refreshed model feeds back into the filter for the next one.
 from __future__ import annotations
 
 import math
+import sys
 import warnings
 from dataclasses import dataclass
 from itertools import combinations_with_replacement
@@ -36,11 +37,16 @@ class EpisodicTrainingError(RuntimeError):
 _KIND_KEYS = {POLYNOMIAL: ("max_degree",), RANDOM_FOURIER: ("count", "bandwidth")}
 
 
+def _integer(value) -> bool:
+    """An int that is not a bool: a model file's ``true`` loads as True, which Python counts as the int 1."""
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 def feature_spec(cfg: dict) -> dict:
     """Check a ``learning.features`` block; return kind, seed (default 0), indices (default None) and the kind's keys.
 
-    polynomial takes max_degree >= 1; random_fourier takes count >= 1 and bandwidth > 0;
-    neither takes the other's keys.
+    polynomial takes max_degree >= 1; random_fourier takes count >= 1 and a finite bandwidth > 0;
+    neither takes the other's keys. The seed is an integer >= 0 and every index an integer; no integer is a bool.
     """
     kind = cfg.get("kind")
     if kind not in (POLYNOMIAL, RANDOM_FOURIER):
@@ -49,15 +55,21 @@ def feature_spec(cfg: dict) -> dict:
     if unknown:
         raise ValueError(f"unknown keys for {kind} features: {sorted(unknown)}")
     if kind == POLYNOMIAL:
-        if not (isinstance(cfg.get("max_degree"), int) and cfg["max_degree"] >= 1):
-            raise ValueError("polynomial features need max_degree >= 1")
+        if not (_integer(cfg.get("max_degree")) and cfg["max_degree"] >= 1):
+            raise ValueError("polynomial features need an integer max_degree >= 1")
     else:
         count, bandwidth = cfg.get("count"), cfg.get("bandwidth")
-        if not (isinstance(count, int) and count >= 1 and bandwidth and bandwidth > 0):
-            raise ValueError("random_fourier features need count >= 1 and bandwidth > 0")
-    indices = cfg.get("indices")
-    return {"kind": kind, "seed": cfg.get("seed", 0), "indices": None if indices is None else tuple(indices),
-            **{key: cfg[key] for key in _KIND_KEYS[kind]}}
+        finite = (_integer(bandwidth) or isinstance(bandwidth, float)) and bandwidth <= sys.float_info.max
+        if not (_integer(count) and count >= 1 and finite and bandwidth > 0.0):
+            raise ValueError("random_fourier features need an integer count >= 1 and a finite bandwidth > 0")
+    seed, indices = cfg.get("seed", 0), cfg.get("indices")
+    if not (_integer(seed) and seed >= 0):
+        raise ValueError(f"features need an integer seed >= 0, got {seed!r}")
+    if indices is not None:
+        indices = tuple(indices)
+        if not all(map(_integer, indices)):
+            raise ValueError(f"feature indices must be integers, got {list(indices)}")
+    return {"kind": kind, "seed": seed, "indices": indices, **{key: cfg[key] for key in _KIND_KEYS[kind]}}
 
 
 class FeatureMap:
@@ -286,11 +298,9 @@ class EpisodeRecord:
     """One episode's metrics; an excluded one (its rollout ended early) holds its ``reason`` and None for both."""
 
     episode: int
-    rows: int
     training_rms: Optional[float]
     validation_delta_bar: Optional[float]
     reason: Optional[str] = None
-    filter_infeasible_steps: int = 0
 
     @property
     def excluded(self) -> bool:
@@ -371,22 +381,16 @@ def episodic_train(scn: "Scenario") -> tuple[ResidualModel, EpisodeHistory]:
             x0_e = x0_e + rng.normal(size=x0_e.shape) * np.asarray(learn["x0_jitter"], dtype=float)
         desired = excite(scn.desired, learn["excitation"]["amplitude"], learn["excitation"]["hold_steps"],
                          scn.dt, learn["episode_duration"], scn.true_system.input_dim, rng)
-        traj, controller = scn.rollout(model, desired=desired, x0=x0_e, duration=learn["episode_duration"])
+        traj, _ = scn.rollout(model, desired=desired, x0=x0_e, duration=learn["episode_duration"])
         ds = collect_episode(scn, traj, learn["noise_std"], rng)  # draws the noise even if excluded
         if traj.terminated_early:
-            records.append(EpisodeRecord(e, len(ds), None, None, reason=traj.termination_reason))
+            records.append(EpisodeRecord(e, None, None, reason=traj.termination_reason))
             continue
 
         features = model.features if model is not None else FeatureMap.fit(learn["features"], ds.states)
         aggregate = ds if aggregate is None else Dataset.merge([aggregate, ds])
         model = fit_residual(aggregate, features, learn["ridge_lambda"])
-        records.append(EpisodeRecord(
-            episode=e,
-            rows=len(ds),
-            training_rms=model.training_rms,
-            validation_delta_bar=validation_delta(model),
-            filter_infeasible_steps=controller.infeasible_count,
-        ))
+        records.append(EpisodeRecord(e, model.training_rms, validation_delta(model)))
 
     if model is None:
         raise EpisodicTrainingError("every episode terminated early")

@@ -164,7 +164,7 @@ def _check_model_fits(model: ResidualModel, system: ControlAffineSystem) -> None
                           f"but the plant has {system.input_dim} inputs")
     n, indices = system.state_dim, model.features.spec["indices"]
     selected = list(range(n)) if indices is None else list(indices)
-    if len(selected) != model.features.center.size or not all(isinstance(i, int) and 0 <= i < n for i in selected):
+    if len(selected) != model.features.center.size or not all(0 <= i < n for i in selected):
         raise ConfigError(f"config error: the model's features select coordinates {selected} with "
                           f"{model.features.center.size} center entries, but the plant has {n} states")
 

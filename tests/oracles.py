@@ -4,8 +4,9 @@ The ``pssf`` package holds what ``pssf simulate|learn|sweep`` runs and the
 library of the PSSf argument (barrier, filter, projection, certificate,
 learning). The helpers here judge that code instead of being part of it:
 finite-difference checks of analytic derivatives, an energy oracle for the
-Segway, a sampled Lipschitz ratio, an alternative floor to compare against
-``transport_inflation``, and a planar-disk demo with a nontrivial projection.
+Segway, the Segway evaluators' earlier memoizing form, a sampled Lipschitz
+ratio, an alternative floor to compare against ``transport_inflation``, and a
+planar-disk demo with a nontrivial projection.
 Keeping them beside the tests gives every name one import path and keeps
 ``src/`` free of code that no run calls.
 """
@@ -136,6 +137,64 @@ def segway_energy(params: SegwayParams, x: np.ndarray) -> float:
     kinetic = 0.5 * (d11 * vel * vel + 2.0 * d12 * vel * rate + d22 * rate * rate)
     potential = params.body_mass * params.gravity * params.com_length * math.cos(pitch)
     return kinetic + potential
+
+
+def segway_reference(params: SegwayParams) -> ControlAffineSystem:
+    """The Segway evaluators in their earlier form, which memoize the last state: ``segway_true`` must match them bit for bit.
+
+    4-state planar Segway: x = (pos, vel, pitch, pitch_rate), scalar torque u.
+
+    ``drift`` and ``actuation`` share one mass-matrix evaluation per state:
+    the last one is kept, keyed on the bytes of x (values, signs of zero
+    included), never on the array's identity.
+    """
+    p = params
+    ml = p.body_mass * p.com_length
+    neg_mgl = -p.body_mass * p.gravity * p.com_length
+    d11 = p.body_mass + 1.5 * p.wheel_mass
+    d22 = p.body_inertia + ml * p.com_length
+    friction = p.viscous_friction
+    b1 = p.motor_torque_scale / p.wheel_radius
+    b2 = -p.motor_torque_scale
+    last = (None, None)
+
+    def accelerations(x) -> tuple:
+        """(vel, free1, rate, free2, gain1, gain2) at x: qdd = free + gain * tau."""
+        nonlocal last
+        x = np.asarray(x, dtype=float)
+        key = x.tobytes()
+        cached_key, cached = last
+        if key == cached_key:
+            return cached
+        _, vel, pitch, rate = x.tolist()
+        sin_t = math.sin(pitch)
+        cos_t = math.cos(pitch)
+        d12 = ml * cos_t
+        det = d11 * d22 - d12 * d12
+        # rhs = B tau - C qd - G, with viscous friction acting on vel.
+        c1 = -ml * sin_t * rate * rate + friction * vel
+        g2 = neg_mgl * sin_t
+        # Explicit 2x2 inverse: D^-1 = [[d22, -d12], [-d12, d11]] / det.
+        out = (
+            vel,
+            (d22 * (-c1) - d12 * (-g2)) / det,
+            rate,
+            (-d12 * (-c1) + d11 * (-g2)) / det,
+            (d22 * b1 - d12 * b2) / det,
+            (-d12 * b1 + d11 * b2) / det,
+        )
+        last = (key, out)
+        return out
+
+    def drift(x: np.ndarray) -> np.ndarray:
+        vel, f1, rate, f2, _, _ = accelerations(x)
+        return np.array([vel, f1, rate, f2])
+
+    def actuation(x: np.ndarray) -> np.ndarray:
+        _, _, _, _, g1, g2 = accelerations(x)
+        return np.array([[0.0], [g1], [0.0], [g2]])
+
+    return ControlAffineSystem(4, 1, drift, actuation)
 
 
 @dataclass(frozen=True)

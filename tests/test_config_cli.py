@@ -102,8 +102,11 @@ class TestConfigValidation:
             with pytest.raises(ConfigError, match=r"defined on all reals \(extended class K-infinity\)"):
                 validate_config({"barrier": {"alpha": {"family": "tabulated", "breakpoints": breakpoints}}})
 
+    # The last two passed the gate and then crashed learn: numpy takes neither a negative seed nor a float index.
     @pytest.mark.parametrize("features", [{"kind": "polynomial"}, {"kind": "random_fourier", "count": 4},
-                                          {"kind": "polynomial", "max_degree": 2, "count": 5, "bandwidth": 3.0}])
+                                          {"kind": "polynomial", "max_degree": 2, "count": 5, "bandwidth": 3.0},
+                                          {"kind": "random_fourier", "count": 4, "bandwidth": 1.0, "seed": -1},
+                                          {"kind": "polynomial", "max_degree": 2, "indices": [1.0, 2, 3]}])
     def test_feature_kind_needs_its_keys(self, features):
         with pytest.raises(ConfigError, match="learning.features"):
             validate_config({"learning": {"features": features}})
@@ -322,8 +325,16 @@ class TestLearnCommand:
         lambda m: m.__setitem__("features", [1, 2]),
         lambda m: m["features"].__setitem__("indices", [1, 2, 7]),  # the plant has 4 states
         lambda m: m["features"].__setitem__("count", 5),  # a random_fourier key under a polynomial map
+        # Values the config gate rejects: JSON's true is Python's int 1, and an infinite bandwidth makes
+        # every random feature constant. max_degree 1 on three coordinates has 4 features.
+        lambda m: (m["features"].update(max_degree=True), m.update(w_b=m["w_b"][:4], W_a=[r[:4] for r in m["W_a"]])),
+        lambda m: m["features"].__setitem__("indices", [True, 2, 3]),
+        lambda m: m["features"].__setitem__("seed", True),
+        lambda m: (m["features"].pop("max_degree"),
+                   m["features"].update(kind="random_fourier", count=len(m["w_b"]), bandwidth=math.inf)),
     ], ids=["W_a_rows", "w_b_short", "center_short", "w_b_nan", "scale_zero", "indices_null", "features_list",
-            "index_out_of_range", "polynomial_with_count"])
+            "index_out_of_range", "polynomial_with_count", "max_degree_bool", "index_bool", "seed_bool",
+            "bandwidth_inf"])
     def test_malformed_model_is_config_error(self, tmp_path, capsys, corrupt):
         model = json.loads((REPO_ROOT / "perfbench" / "inputs" / "model_seed0.json").read_text())
         corrupt(model)

@@ -21,7 +21,7 @@ from pssf.dynamics import (
 )
 from pssf.ioutil import read_csv
 
-from oracles import lipschitz_probe, planar_disk_demo, segway_energy
+from oracles import lipschitz_probe, planar_disk_demo, segway_energy, segway_reference
 
 
 @pytest.fixture
@@ -214,7 +214,7 @@ class TestGuards:
 
 
 class TestSharedEvaluation:
-    """drift and actuation share one mass-matrix evaluation, keyed on x's values."""
+    """drift and actuation depend on x's values alone, whatever came before."""
 
     def test_interleaved_calls_match_fresh_system(self, params):
         rng = np.random.default_rng(22)
@@ -248,6 +248,34 @@ class TestSharedEvaluation:
         g[:] = 0.0
         assert np.any(segway.drift(x) != 0.0)
         assert np.any(segway.actuation(x) != 0.0)
+
+
+class TestMatchesReference:
+    """drift and actuation equal the earlier memoizing evaluators bit for bit, in call orders that hit and missed the memo."""
+
+    @staticmethod
+    def states():
+        special = (0.0, -0.0, 1.0, 0.5 * math.pi, -0.5 * math.pi, math.pi, -math.pi)
+        rng = np.random.default_rng(23)
+        uniform = rng.uniform([-2, -3, -math.pi, -4], [2, 3, math.pi, 4], size=(10_000, 4))
+        return np.vstack([uniform, np.array(list(itertools.product(special, repeat=4)))])
+
+    @pytest.mark.parametrize("order", ["drift_first", "actuation_first", "true_nominal_interleaved"])
+    def test_bitwise_equal(self, params, order):
+        design = BENCHMARK_PERTURBATION.apply(params)
+        systems = {"true": (segway_true(params), segway_reference(params)),
+                   "nominal": (segway_true(design), segway_reference(design))}
+        calls = {"drift_first": [("true", "drift"), ("true", "actuation"), ("nominal", "drift"),
+                                 ("nominal", "actuation")],
+                 "actuation_first": [("true", "actuation"), ("true", "drift"), ("nominal", "actuation"),
+                                     ("nominal", "drift")],
+                 # projected_disturbance's order: f, f_hat, g, g_hat.
+                 "true_nominal_interleaved": [("true", "drift"), ("nominal", "drift"), ("true", "actuation"),
+                                              ("nominal", "actuation")]}[order]
+        for x in self.states():
+            for system, evaluator in calls:
+                new, reference = (getattr(s, evaluator)(x) for s in systems[system])
+                assert (new.shape, new.tobytes()) == (reference.shape, reference.tobytes()), (system, evaluator, x)
 
 
 class TestSimulate:
