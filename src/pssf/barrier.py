@@ -49,6 +49,11 @@ class FilterResult:
     infeasible: bool
 
 
+def dot(a: np.ndarray, v: np.ndarray) -> float:
+    """float(a @ v) for 1-D a and v; a single product runs on floats (numpy's sum starts from +0.0, so does this)."""
+    return 0.0 + a.item() * v.item() if a.size == 1 else float(a @ v)
+
+
 def h_dot(bar: BarrierFunction, sys: ControlAffineSystem, x: np.ndarray, u: np.ndarray) -> float:
     """hdot(x, u) = dh/dx(x) . (f(x) + g(x) u)."""
     return float(bar.grad_h(x) @ sys.field_at(x, u))
@@ -116,16 +121,17 @@ def safety_filter(
         a = a + a_hat
         b = b - b_hat
 
-    slack = float(a @ u_des) - b
+    slack = dot(a, u_des) - b
     if slack >= 0.0:
         return FilterResult(u=u_des, constraint_margin=slack, modified=False, infeasible=False)
 
-    a_sq = float(a @ a)
+    a_sq = dot(a, a)
     if a_sq <= 1e-10 ** 2:
         return FilterResult(u=u_des, constraint_margin=slack, modified=False, infeasible=True)
 
-    u = u_des + (-slack / a_sq) * a
-    return FilterResult(u=u, constraint_margin=float(a @ u) - b, modified=True, infeasible=False)
+    step = -slack / a_sq
+    u = np.array([u_des.item() + step * a.item()]) if a.size == 1 else u_des + step * a
+    return FilterResult(u=u, constraint_margin=dot(a, u) - b, modified=True, infeasible=False)
 
 
 class FilteredController:

@@ -18,8 +18,8 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .barrier import BarrierFunction, HdotResidual
-from .dynamics import ControlAffineSystem, Trajectory
+from .barrier import BarrierFunction, HdotResidual, dot
+from .dynamics import ControlAffineSystem, Trajectory, affine_field
 from .ioutil import write_csv
 from .kfun import ComparisonFunction, compose
 
@@ -83,7 +83,7 @@ class DeltaTrace:
             raise ValueError("delta trace contains non-finite values")
 
     def to_csv(self, path) -> None:
-        write_csv(path, ["t", "abs_delta"], zip(self.times, np.abs(self.delta)))
+        write_csv(path, ["t", "abs_delta"], zip(self.times.tolist(), np.abs(self.delta).tolist()))
 
 
 @dataclass(frozen=True)
@@ -168,10 +168,10 @@ def projected_disturbance(
     grad = bar.grad_h(x)
     df = true_sys.drift(x) - nominal_sys.drift(x)
     dg = true_sys.actuation(x) - nominal_sys.actuation(x)
-    delta = float(grad @ (df + dg @ u))
+    delta = float(grad @ np.array(affine_field(u)(df, dg)))
     if residual is not None:
         b_hat, a_hat = residual.terms(x)
-        delta -= b_hat + float(np.asarray(a_hat) @ u)
+        delta -= b_hat + dot(np.asarray(a_hat), u)
     return delta
 
 

@@ -20,7 +20,7 @@ import yaml
 
 from . import kfun
 from .dynamics import BENCHMARK_PERTURBATION, PerturbationSpec, SegwayParams, step_count
-from .learning import feature_spec
+from .learning import FeatureMap
 
 
 class ConfigError(ValueError):
@@ -170,8 +170,11 @@ def validate_config(user: dict) -> dict:
     if alpha.domain_kind != kfun.Domain():
         raise ConfigError("config error at barrier.alpha: alpha must be defined on all reals (extended class "
                           f"K-infinity), got [{alpha.domain_kind.lower}, {alpha.domain_kind.upper}]")
+    # A map with a unit normalization draws the random_fourier weights, which must be finite.
+    features = resolved["learning"]["features"]
+    n_sel = len(features["indices"]) if "indices" in features else len(resolved["run"]["x0"])
     try:
-        feature_spec(resolved["learning"]["features"])
+        FeatureMap(features, [0.0] * n_sel, [1.0] * n_sel)
     except ValueError as exc:
         raise ConfigError(f"config error at learning.features: {exc}") from exc
     return resolved

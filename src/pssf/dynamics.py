@@ -45,9 +45,10 @@ class ControlAffineSystem:
         drift: x -> f(x), shape (n,).
         actuation: x -> g(x), shape (n, m).
 
-    ``drift`` and ``actuation`` must be pure functions of the values of x that
-    keep no state between calls, and return fresh arrays that the caller may
-    keep or modify. :func:`step_rk4` evaluates each of them once per RK stage.
+    ``drift`` and ``actuation`` receive x as a 1-D float ndarray of shape
+    (n,). They must be pure functions of its values that keep no state
+    between calls, and return fresh arrays that the caller may keep or
+    modify. :func:`step_rk4` evaluates each of them once per RK stage.
     Local Lipschitz continuity of f and g is assumed, not checked.
     """
 
@@ -58,10 +59,7 @@ class ControlAffineSystem:
 
     def field_at(self, x: np.ndarray, u: np.ndarray, d: Optional[np.ndarray] = None) -> np.ndarray:
         """xdot = f(x) + g(x) u (+ d)."""
-        xdot = self.drift(x) + self.actuation(x) @ u
-        if d is not None:
-            xdot = xdot + d
-        return xdot
+        return np.array(affine_field(u, d)(self.drift(x), self.actuation(x)))
 
 
 @dataclass(frozen=True)
@@ -153,7 +151,7 @@ def segway_true(params: SegwayParams) -> ControlAffineSystem:
     b2 = -p.motor_torque_scale
 
     def drift(x: np.ndarray) -> np.ndarray:
-        _, vel, pitch, rate = np.asarray(x, dtype=float).tolist()
+        _, vel, pitch, rate = x.tolist()
         sin_t = math.sin(pitch)
         cos_t = math.cos(pitch)
         d12 = ml * cos_t
@@ -165,10 +163,9 @@ def segway_true(params: SegwayParams) -> ControlAffineSystem:
         return np.array([vel, (d22 * (-c1) - d12 * (-g2)) / det, rate, (-d12 * (-c1) + d11 * (-g2)) / det])
 
     def actuation(x: np.ndarray) -> np.ndarray:
-        _, _, pitch, _ = np.asarray(x, dtype=float).tolist()
-        d12 = ml * math.cos(pitch)
+        d12 = ml * math.cos(float(x[2]))
         det = d11 * d22 - d12 * d12
-        return np.array([[0.0], [(d22 * b1 - d12 * b2) / det], [0.0], [(-d12 * b1 + d11 * b2) / det]])
+        return np.array([0.0, (d22 * b1 - d12 * b2) / det, 0.0, (-d12 * b1 + d11 * b2) / det]).reshape(4, 1)
 
     return ControlAffineSystem(4, 1, drift, actuation)
 
@@ -218,11 +215,25 @@ class Trajectory:
         n = self.states.shape[1]
         m = self.inputs.shape[1]
         header = ["t"] + [f"x{i + 1}" for i in range(n)] + [f"u{i + 1}" for i in range(m)]
-        rows = []
-        for j, t in enumerate(self.times):
-            u = list(self.inputs[j]) if j < len(self.inputs) else [None] * m
-            rows.append([t, *self.states[j], *u])
-        write_csv(path, header, rows)
+        inputs = self.inputs.tolist() + [[None] * m]
+        write_csv(path, header, ([t, *x, *u] for t, x, u in zip(self.times.tolist(), self.states.tolist(), inputs)))
+
+
+def affine_field(u, d=None) -> Callable[[np.ndarray, np.ndarray], list]:
+    """The map (f, g) -> f + g u (+ d) as a list of floats, bit for bit ``(f + g @ u + d).tolist()``.
+
+    At m = 1 each entry is a single product, computed on Python floats: numpy's
+    g @ u sums from +0.0, and adding 0.0 gives a zero product the same sign.
+    Any wider sum stays numpy's. Built once per step, the map serves every RK stage.
+    """
+    u0 = float(u[0]) if len(u) == 1 else None
+    dl = None if d is None else np.asarray(d, dtype=float).tolist()
+
+    def field(f: np.ndarray, g: np.ndarray) -> list:
+        k = (f + g @ u).tolist() if u0 is None else [fi + (0.0 + gi * u0) for fi, (gi,) in zip(f.tolist(), g.tolist())]
+        return k if dl is None else [ki + di for ki, di in zip(k, dl)]
+
+    return field
 
 
 def step_rk4(
@@ -235,25 +246,18 @@ def step_rk4(
     """One classical RK4 step of xdot = f(x) + g(x)u + d, u and d held constant."""
     if not dt > 0.0:
         raise ValueError("dt must be positive")
-    dl = None if d is None else d.tolist()
-    if system.input_dim == 1:
-        u0 = float(u[0])
-
-    def field(z: np.ndarray) -> list:
-        f, g = system.drift(z), system.actuation(z)
-        if system.input_dim == 1:
-            # numpy's g @ u sums from +0.0; adding 0.0 gives a zero product the same sign.
-            k = [fi + (0.0 + gi * u0) for fi, (gi,) in zip(f.tolist(), g.tolist())]
-        else:
-            k = (f + g @ u).tolist()
-        return k if dl is None else [ki + di for ki, di in zip(k, dl)]
-
+    field, drift, actuation = affine_field(u, d), system.drift, system.actuation
+    half = 0.5 * dt  # 0.5 * dt * k evaluates as (0.5 * dt) * k
     xs = x.tolist()
-    k1 = field(x)
-    k2 = field(np.array([xi + 0.5 * dt * ki for xi, ki in zip(xs, k1)]))
-    k3 = field(np.array([xi + 0.5 * dt * ki for xi, ki in zip(xs, k2)]))
-    k4 = field(np.array([xi + dt * ki for xi, ki in zip(xs, k3)]))
-    x_next = [xi + (dt / 6.0) * (a + 2.0 * b + 2.0 * c + e) for xi, a, b, c, e in zip(xs, k1, k2, k3, k4)]
+    k1 = field(drift(x), actuation(x))
+    z = np.array([xi + half * ki for xi, ki in zip(xs, k1)])
+    k2 = field(drift(z), actuation(z))
+    z = np.array([xi + half * ki for xi, ki in zip(xs, k2)])
+    k3 = field(drift(z), actuation(z))
+    z = np.array([xi + dt * ki for xi, ki in zip(xs, k3)])
+    k4 = field(drift(z), actuation(z))
+    sixth = dt / 6.0
+    x_next = [xi + sixth * (a + 2.0 * b + 2.0 * c + e) for xi, a, b, c, e in zip(xs, k1, k2, k3, k4)]
     if not all(map(math.isfinite, x_next)):
         raise NonFiniteDynamicsError(f"non-finite state after step from {x}")
     if max(map(abs, x_next)) > BLOWUP_LIMIT:

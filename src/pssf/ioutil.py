@@ -25,14 +25,14 @@ def _cell(value) -> str:
 
 
 def write_csv(path, header, rows) -> None:
-    """Comma-separated, header row, LF line endings, 17-digit floats."""
+    """Comma-separated, header row, LF line endings, 17-digit floats; rows stream, and a Python float skips ``_cell``."""
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
     with open(path, "w", newline="\n") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(header)
         for row in rows:
-            writer.writerow([_cell(v) for v in row])
+            writer.writerow([format(v, ".17g") if type(v) is float else _cell(v) for v in row])
 
 
 def read_csv(path):

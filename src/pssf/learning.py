@@ -98,14 +98,17 @@ class FeatureMap:
             raise ValueError("center must be finite and scale finite and positive")
         self._select = np.array(indices) if indices is not None else None
         if self.spec["kind"] == POLYNOMIAL:
-            # One row of per-coordinate exponents per monomial, by degree.
+            # One row of per-coordinate exponents per monomial, by degree; floats, which pow need not cast per call.
             self._exponents = np.array([[combo.count(i) for i in range(n_sel)]
                                         for deg in range(self.spec["max_degree"] + 1)
-                                        for combo in combinations_with_replacement(range(n_sel), deg)])
+                                        for combo in combinations_with_replacement(range(n_sel), deg)], dtype=float)
             self.dimension = len(self._exponents)
         else:
             rng = np.random.default_rng(self.spec["seed"])
-            self._weights = rng.normal(size=(self.spec["count"], n_sel)) / self.spec["bandwidth"]
+            with np.errstate(over="ignore"):
+                self._weights = rng.normal(size=(self.spec["count"], n_sel)) / self.spec["bandwidth"]
+            if not np.all(np.isfinite(self._weights)):
+                raise ValueError(f"bandwidth {self.spec['bandwidth']} is too small: weights normal / bandwidth overflow")
             self._phases = rng.uniform(0.0, 2.0 * math.pi, size=self.spec["count"])
             self.dimension = self.spec["count"]
 

@@ -4,7 +4,8 @@ The ``pssf`` package holds what ``pssf simulate|learn|sweep`` runs and the
 library of the PSSf argument (barrier, filter, projection, certificate,
 learning). The helpers here judge that code instead of being part of it:
 finite-difference checks of analytic derivatives, an energy oracle for the
-Segway, the Segway evaluators' earlier memoizing form, a sampled Lipschitz
+Segway, the Segway evaluators' earlier memoizing form, the per-sample
+functions and the CSV writer in their earlier numpy form, a sampled Lipschitz
 ratio, an alternative floor to compare against ``transport_inflation``, and a
 planar-disk demo with a nontrivial projection.
 Keeping them beside the tests gives every name one import path and keeps
@@ -13,16 +14,19 @@ Keeping them beside the tests gives every name one import path and keeps
 
 from __future__ import annotations
 
+import csv
 import math
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from pathlib import Path
+from typing import Callable, Optional, Sequence
 
 import numpy as np
 
 from pssf import kfun
-from pssf.barrier import BarrierFunction
+from pssf.barrier import BarrierFunction, FilterResult, HdotResidual
 from pssf.certify import CompatiblePair, Projection
-from pssf.dynamics import ControlAffineSystem, DisturbanceSignal, SegwayParams
+from pssf.dynamics import (BLOWUP_LIMIT, ControlAffineSystem, DisturbanceSignal, NonFiniteDynamicsError,
+                           NumericalBlowUpError, SegwayParams)
 from pssf.kfun import ComparisonFunction
 from pssf.learning import POLYNOMIAL, Dataset, FeatureMap
 
@@ -82,13 +86,13 @@ def direct_transport_floor(sigma_upper: ComparisonFunction, gamma: ComparisonFun
 
 
 def feature_map_reference(features: FeatureMap, states: np.ndarray) -> np.ndarray:
-    """``FeatureMap.__call__`` as first written: the selection as a list, the monomials by ``np.prod``."""
+    """``FeatureMap.__call__`` as first written: the selection as a list, integer exponents, the monomials by ``np.prod``."""
     states = np.asarray(states, dtype=float)
     indices = features.spec["indices"]
     sel = states[..., list(indices)] if indices is not None else states
     z = (sel - features.center) / features.scale
     if features.spec["kind"] == POLYNOMIAL:
-        return np.prod(z[..., None, :] ** features._exponents, axis=-1)
+        return np.prod(z[..., None, :] ** features._exponents.astype(int), axis=-1)
     return math.sqrt(2.0 / features.spec["count"]) * np.cos(z @ features._weights.T + features._phases)
 
 
@@ -108,6 +112,129 @@ def fit_residual_reference(data: Dataset, features: FeatureMap,
     rms = float(np.sqrt(np.mean((data.targets - design @ w) ** 2)))
     dim = features.dimension
     return w[:dim], w[dim:].reshape(m, dim), rms, float((sv[0] / sv[-1]) ** 2) > 1e12
+
+
+# The per-sample functions as they were before their Python-float fast paths, copied unchanged
+# (ControlAffineSystem.field_at as a function). The current ones must match them bit for bit.
+
+def step_rk4_reference(
+    system: ControlAffineSystem,
+    x: np.ndarray,
+    u: np.ndarray,
+    d: Optional[np.ndarray],
+    dt: float,
+) -> np.ndarray:
+    """One classical RK4 step of xdot = f(x) + g(x)u + d, u and d held constant."""
+    if not dt > 0.0:
+        raise ValueError("dt must be positive")
+    dl = None if d is None else d.tolist()
+    if system.input_dim == 1:
+        u0 = float(u[0])
+
+    def field(z: np.ndarray) -> list:
+        f, g = system.drift(z), system.actuation(z)
+        if system.input_dim == 1:
+            # numpy's g @ u sums from +0.0; adding 0.0 gives a zero product the same sign.
+            k = [fi + (0.0 + gi * u0) for fi, (gi,) in zip(f.tolist(), g.tolist())]
+        else:
+            k = (f + g @ u).tolist()
+        return k if dl is None else [ki + di for ki, di in zip(k, dl)]
+
+    xs = x.tolist()
+    k1 = field(x)
+    k2 = field(np.array([xi + 0.5 * dt * ki for xi, ki in zip(xs, k1)]))
+    k3 = field(np.array([xi + 0.5 * dt * ki for xi, ki in zip(xs, k2)]))
+    k4 = field(np.array([xi + dt * ki for xi, ki in zip(xs, k3)]))
+    x_next = [xi + (dt / 6.0) * (a + 2.0 * b + 2.0 * c + e) for xi, a, b, c, e in zip(xs, k1, k2, k3, k4)]
+    if not all(map(math.isfinite, x_next)):
+        raise NonFiniteDynamicsError(f"non-finite state after step from {x}")
+    if max(map(abs, x_next)) > BLOWUP_LIMIT:
+        raise NumericalBlowUpError(f"state magnitude exceeded {BLOWUP_LIMIT:g}")
+    return np.array(x_next)
+
+
+def field_at_reference(sys: ControlAffineSystem, x: np.ndarray, u: np.ndarray, d: Optional[np.ndarray] = None) -> np.ndarray:
+    """xdot = f(x) + g(x) u (+ d)."""
+    xdot = sys.drift(x) + sys.actuation(x) @ u
+    if d is not None:
+        xdot = xdot + d
+    return xdot
+
+
+def h_dot_reference(bar: BarrierFunction, sys: ControlAffineSystem, x: np.ndarray, u: np.ndarray) -> float:
+    """hdot(x, u) = dh/dx(x) . (f(x) + g(x) u)."""
+    return float(bar.grad_h(x) @ field_at_reference(sys, x, u))
+
+
+def safety_filter_reference(
+    bar: BarrierFunction,
+    model: ControlAffineSystem,
+    u_des: np.ndarray,
+    x: np.ndarray,
+    residual: Optional[HdotResidual] = None,
+) -> FilterResult:
+    """Min-norm modification of u_des enforcing the model barrier condition."""
+    u_des = np.asarray(u_des, dtype=float).reshape(model.input_dim)
+    grad = bar.grad_h(x)
+    a = grad @ model.actuation(x)
+    b = -bar.alpha(bar.h(x)) - float(grad @ model.drift(x))
+    if residual is not None:
+        b_hat, a_hat = residual.terms(x)
+        a = a + a_hat
+        b = b - b_hat
+
+    slack = float(a @ u_des) - b
+    if slack >= 0.0:
+        return FilterResult(u=u_des, constraint_margin=slack, modified=False, infeasible=False)
+
+    a_sq = float(a @ a)
+    if a_sq <= 1e-10 ** 2:
+        return FilterResult(u=u_des, constraint_margin=slack, modified=False, infeasible=True)
+
+    u = u_des + (-slack / a_sq) * a
+    return FilterResult(u=u, constraint_margin=float(a @ u) - b, modified=True, infeasible=False)
+
+
+def projected_disturbance_reference(
+    bar: BarrierFunction,
+    true_sys: ControlAffineSystem,
+    nominal_sys: ControlAffineSystem,
+    x: np.ndarray,
+    u: np.ndarray,
+    residual: Optional[HdotResidual] = None,
+) -> float:
+    """delta = grad_h(x) . [(f - f_hat)(x) + (g - g_hat)(x) u] - [b_hat(x) + a_hat(x) . u]."""
+    grad = bar.grad_h(x)
+    df = true_sys.drift(x) - nominal_sys.drift(x)
+    dg = true_sys.actuation(x) - nominal_sys.actuation(x)
+    delta = float(grad @ (df + dg @ u))
+    if residual is not None:
+        b_hat, a_hat = residual.terms(x)
+        delta -= b_hat + float(np.asarray(a_hat) @ u)
+    return delta
+
+
+def _cell_reference(value) -> str:
+    if value is None:
+        return ""
+    if isinstance(value, bool):
+        return "true" if value else "false"
+    if isinstance(value, (int,)) and not isinstance(value, bool):
+        return str(value)
+    if isinstance(value, float):
+        return format(float(value), ".17g")
+    return str(value)
+
+
+def write_csv_reference(path, header, rows) -> None:
+    """``ioutil.write_csv`` before its float fast path: every cell through ``_cell``."""
+    path = Path(path)
+    path.parent.mkdir(parents=True, exist_ok=True)
+    with open(path, "w", newline="\n") as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(header)
+        for row in rows:
+            writer.writerow([_cell_reference(v) for v in row])
 
 
 def lipschitz_probe(fn: Callable[[np.ndarray], np.ndarray], samples: Sequence[np.ndarray]) -> float:

@@ -21,7 +21,7 @@ from pssf.dynamics import (
 )
 from pssf.ioutil import read_csv
 
-from oracles import lipschitz_probe, planar_disk_demo, segway_energy, segway_reference
+from oracles import field_at_reference, lipschitz_probe, planar_disk_demo, segway_energy, segway_reference
 
 
 @pytest.fixture
@@ -144,11 +144,11 @@ class TestStepRK4:
 
 
 def numpy_rk4(system, x, u, d, dt):
-    """Textbook vector RK4 on ``field_at``: the oracle for :func:`step_rk4`."""
-    k1 = system.field_at(x, u, d)
-    k2 = system.field_at(x + 0.5 * dt * k1, u, d)
-    k3 = system.field_at(x + 0.5 * dt * k2, u, d)
-    k4 = system.field_at(x + dt * k3, u, d)
+    """Textbook vector RK4 on ``field_at``'s numpy form: the oracle for :func:`step_rk4`."""
+    k1 = field_at_reference(system, x, u, d)
+    k2 = field_at_reference(system, x + 0.5 * dt * k1, u, d)
+    k3 = field_at_reference(system, x + 0.5 * dt * k2, u, d)
+    k4 = field_at_reference(system, x + dt * k3, u, d)
     return x + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
 
 
