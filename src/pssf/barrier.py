@@ -56,7 +56,7 @@ def dot(a: np.ndarray, v: np.ndarray) -> float:
 
 def h_dot(bar: BarrierFunction, sys: ControlAffineSystem, x: np.ndarray, u: np.ndarray) -> float:
     """hdot(x, u) = dh/dx(x) . (f(x) + g(x) u)."""
-    return float(bar.grad_h(x) @ sys.field_at(x, u))
+    return float(bar.grad_h(x).dot(sys.field_at(x, u)))
 
 
 def cbf_margin(bar: BarrierFunction, sys: ControlAffineSystem, x: np.ndarray, u: np.ndarray) -> float:
@@ -114,8 +114,8 @@ def safety_filter(
     """
     u_des = np.asarray(u_des, dtype=float).reshape(model.input_dim)
     grad = bar.grad_h(x)
-    a = grad @ model.actuation(x)
-    b = -bar.alpha(bar.h(x)) - float(grad @ model.drift(x))
+    a = grad.dot(model.actuation(x))
+    b = -bar.alpha(bar.h(x)) - float(grad.dot(model.drift(x)))
     if residual is not None:
         b_hat, a_hat = residual.terms(x)
         a = a + a_hat

@@ -168,7 +168,7 @@ def projected_disturbance(
     grad = bar.grad_h(x)
     df = true_sys.drift(x) - nominal_sys.drift(x)
     dg = true_sys.actuation(x) - nominal_sys.actuation(x)
-    delta = float(grad @ np.array(affine_field(u)(df, dg)))
+    delta = float(grad.dot(np.array(affine_field(u)(df, dg))))
     if residual is not None:
         b_hat, a_hat = residual.terms(x)
         delta -= b_hat + dot(np.asarray(a_hat), u)

@@ -170,7 +170,7 @@ def validate_config(user: dict) -> dict:
     if alpha.domain_kind != kfun.Domain():
         raise ConfigError("config error at barrier.alpha: alpha must be defined on all reals (extended class "
                           f"K-infinity), got [{alpha.domain_kind.lower}, {alpha.domain_kind.upper}]")
-    # A map with a unit normalization draws the random_fourier weights, which must be finite.
+    # A map with a unit normalization draws the random_fourier weights, which must keep W z finite.
     features = resolved["learning"]["features"]
     n_sel = len(features["indices"]) if "indices" in features else len(resolved["run"]["x0"])
     try:
@@ -181,13 +181,18 @@ def validate_config(user: dict) -> dict:
 
 
 def load_config(path) -> dict:
-    """Read a YAML scenario file and return the resolved config."""
+    """Read a YAML scenario file and return the resolved config.
+
+    It parses with PyYAML's libyaml loader, ``yaml.CSafeLoader``, where the
+    installed PyYAML has one, and with ``yaml.SafeLoader`` otherwise; both
+    build the same dict through the same safe constructor and resolver.
+    """
     path = Path(path)
     if not path.exists():
         raise ConfigError(f"config error: file not found: {path}")
     try:
         with open(path) as fh:
-            user = yaml.safe_load(fh)
+            user = yaml.load(fh, Loader=getattr(yaml, "CSafeLoader", yaml.SafeLoader))
     except yaml.YAMLError as exc:
         raise ConfigError(f"config error: cannot parse {path}: {exc}") from exc
     if user is None:

@@ -85,6 +85,10 @@ class Linear(ComparisonFunction):
         if not 0.0 < self.k < math.inf:
             raise ValueError(f"Linear slope must be positive and finite, got {self.k}")
 
+    def __call__(self, r: float) -> float:
+        # Every finite argument is in the domain; inf and NaN take the generic check, which raises.
+        return self.k * float(r) if math.isfinite(r) else super().__call__(r)
+
     def _eval(self, r: float) -> float:
         return self.k * r
 

@@ -20,7 +20,7 @@ import numpy as np
 
 from .barrier import h_dot
 from .certify import delta_bound
-from .dynamics import Trajectory, step_count
+from .dynamics import BLOWUP_LIMIT, Trajectory, step_count
 from .ioutil import read_json, write_csv, write_json
 
 if TYPE_CHECKING:
@@ -105,10 +105,14 @@ class FeatureMap:
             self.dimension = len(self._exponents)
         else:
             rng = np.random.default_rng(self.spec["seed"])
+            # Past x0 a run keeps no |x_i| above BLOWUP_LIMIT, so there |W z| is at most this bound.
             with np.errstate(over="ignore"):
                 self._weights = rng.normal(size=(self.spec["count"], n_sel)) / self.spec["bandwidth"]
-            if not np.all(np.isfinite(self._weights)):
-                raise ValueError(f"bandwidth {self.spec['bandwidth']} is too small: weights normal / bandwidth overflow")
+                bound = n_sel * np.max(np.abs(self._weights), initial=0.0) * np.max(
+                    (BLOWUP_LIMIT + np.abs(self.center)) / self.scale, initial=0.0)
+            if not np.isfinite(bound):
+                raise ValueError(f"bandwidth {self.spec['bandwidth']} is too small: W z, with W = normal / bandwidth, "
+                                 f"can overflow on a state within {BLOWUP_LIMIT:g} of 0")
             self._phases = rng.uniform(0.0, 2.0 * math.pi, size=self.spec["count"])
             self.dimension = self.spec["count"]
 
@@ -229,7 +233,7 @@ class ResidualModel:
 
     def terms(self, x: np.ndarray) -> tuple[float, np.ndarray]:
         phi = self.features(x)
-        return float(self.w_b @ phi), self.W_a @ phi
+        return float(self.w_b.dot(phi)), self.W_a.dot(phi)
 
     def predict(self, x: np.ndarray, u: np.ndarray) -> float:
         b_hat, a_hat = self.terms(x)

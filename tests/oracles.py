@@ -5,9 +5,10 @@ library of the PSSf argument (barrier, filter, projection, certificate,
 learning). The helpers here judge that code instead of being part of it:
 finite-difference checks of analytic derivatives, an energy oracle for the
 Segway, the Segway evaluators' earlier memoizing form, the per-sample
-functions and the CSV writer in their earlier numpy form, a sampled Lipschitz
-ratio, an alternative floor to compare against ``transport_inflation``, and a
-planar-disk demo with a nontrivial projection.
+functions, the CSV writer and the sampled drift-error sup in their earlier
+numpy form, a sampled Lipschitz ratio, an alternative floor to compare
+against ``transport_inflation``, and a planar-disk demo with a nontrivial
+projection.
 Keeping them beside the tests gives every name one import path and keeps
 ``src/`` free of code that no run calls.
 """
@@ -212,6 +213,18 @@ def projected_disturbance_reference(
         b_hat, a_hat = residual.terms(x)
         delta -= b_hat + float(np.asarray(a_hat) @ u)
     return delta
+
+
+def model_error_drift_sup_reference(scn, samples: int = 1000) -> float:
+    """``scenario.model_error_drift_sup`` before its stacked norms: one subtraction and one norm per sample."""
+    rng = np.random.default_rng(scn.seed)
+    lows = np.array([-1.0, -2.0, -scn.cfg["barrier"]["pitch_max"], -scn.cfg["barrier"]["pitch_rate_max"]])
+    highs = -lows
+    worst = 0.0
+    for x in rng.uniform(lows, highs, size=(samples, 4)):
+        err = scn.true_system.drift(x) - scn.nominal_system.drift(x)
+        worst = max(worst, float(np.linalg.norm(err)))
+    return worst
 
 
 def _cell_reference(value) -> str:

@@ -102,14 +102,16 @@ class TestConfigValidation:
             with pytest.raises(ConfigError, match=r"defined on all reals \(extended class K-infinity\)"):
                 validate_config({"barrier": {"alpha": {"family": "tabulated", "breakpoints": breakpoints}}})
 
-    # The last four passed the gate and then crashed learn: numpy takes neither a negative seed nor a float
-    # index, and a bandwidth this small makes every (1e-320) or some (1e-308) of the weights normal / bandwidth inf.
+    # The last five passed the gate and then crashed learn: numpy takes neither a negative seed nor a float
+    # index, and a bandwidth this small makes every (1e-320) or some (1e-308) of the weights normal / bandwidth inf,
+    # or, with seed 1's finite weights, W z inf.
     @pytest.mark.parametrize("features", [{"kind": "polynomial"}, {"kind": "random_fourier", "count": 4},
                                           {"kind": "polynomial", "max_degree": 2, "count": 5, "bandwidth": 3.0},
                                           {"kind": "random_fourier", "count": 4, "bandwidth": 1.0, "seed": -1},
                                           {"kind": "polynomial", "max_degree": 2, "indices": [1.0, 2, 3]},
                                           {"kind": "random_fourier", "count": 5, "bandwidth": 1.0e-320},
-                                          {"kind": "random_fourier", "count": 5, "bandwidth": 1.0e-308}])
+                                          {"kind": "random_fourier", "count": 5, "bandwidth": 1.0e-308},
+                                          {"kind": "random_fourier", "count": 5, "bandwidth": 1.0e-308, "seed": 1}])
     def test_feature_kind_needs_its_keys(self, features):
         with pytest.raises(ConfigError, match="learning.features"):
             validate_config({"learning": {"features": features}})
@@ -292,13 +294,15 @@ class TestLearnCommand:
         assert not (tmp_path / "out").exists()
 
     def test_subnormal_bandwidth_is_config_error(self, tmp_path, capsys):
-        # It used to end in "SVD did not converge": the overflowed weights make every feature NaN.
-        features = {"kind": "random_fourier", "count": 5, "bandwidth": 1.0e-320}
-        path = write_cfg(tmp_path, {"run": {"duration": 0.05},
-                                    "learning": {"episodes": 1, "episode_duration": 0.05, "features": features}})
-        assert main(["learn", "--config", str(path), "--out", str(tmp_path / "out")]) == 2
-        assert capsys.readouterr().err.count("config error") == 1
-        assert not (tmp_path / "out").exists()
+        # Both used to end in "SVD did not converge", as the features were NaN. At 1e-320 the weights
+        # normal / bandwidth overflow; at 1e-308 seed 1 draws finite weights, but W z overflows.
+        for i, (bandwidth, seed) in enumerate(((1.0e-320, 0), (1.0e-308, 1))):
+            features = {"kind": "random_fourier", "count": 5, "bandwidth": bandwidth, "seed": seed}
+            path = write_cfg(tmp_path, {"run": {"duration": 0.05},
+                                        "learning": {"episodes": 1, "episode_duration": 0.05, "features": features}})
+            assert main(["learn", "--config", str(path), "--out", str(tmp_path / f"out{i}")]) == 2
+            assert capsys.readouterr().err.count("config error") == 1
+            assert not (tmp_path / f"out{i}").exists()
 
     def test_learned_mode_in_simulate(self, tmp_path, capsys):
         path = write_cfg(tmp_path, fast_overrides())
@@ -347,9 +351,12 @@ class TestLearnCommand:
         # The weights normal / bandwidth overflow; the rollout used to run into NaN features (exit 3).
         lambda m: (m["features"].pop("max_degree"),
                    m["features"].update(kind="random_fourier", count=len(m["w_b"]), bandwidth=1.0e-320)),
+        # Seed 5 draws finite weights at this bandwidth, but W z overflows; the run used to pass on garbage features.
+        lambda m: (m["features"].pop("max_degree"),
+                   m["features"].update(kind="random_fourier", count=len(m["w_b"]), bandwidth=1.0e-308, seed=5)),
     ], ids=["W_a_rows", "w_b_short", "center_short", "w_b_nan", "scale_zero", "indices_null", "features_list",
             "index_out_of_range", "polynomial_with_count", "max_degree_bool", "index_bool", "seed_bool",
-            "bandwidth_inf", "bandwidth_subnormal"])
+            "bandwidth_inf", "bandwidth_subnormal", "bandwidth_tiny_finite_weights"])
     def test_malformed_model_is_config_error(self, tmp_path, capsys, corrupt):
         model = json.loads((REPO_ROOT / "perfbench" / "inputs" / "model_seed0.json").read_text())
         corrupt(model)

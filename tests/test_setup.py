@@ -1,0 +1,131 @@
+"""Set-up of every run: the config loader and the sampled drift-error sup, against their earlier forms.
+
+``load_config`` parses with libyaml where PyYAML has it and with the pure-Python
+loader otherwise; both must give the same resolved config and the same config
+errors. ``model_error_drift_sup`` takes its norms in one stacked call and must
+equal the per-sample loop it replaced (``tests/oracles.py``) bit for bit.
+"""
+
+from pathlib import Path
+from types import SimpleNamespace
+
+import numpy as np
+import pytest
+import yaml
+
+from pssf.config import DEFAULT_CONFIG, ConfigError, load_config
+from pssf.cli import main
+from pssf.scenario import build_scenario, model_error_drift_sup
+
+from oracles import model_error_drift_sup_reference
+
+REPO_ROOT = Path(__file__).resolve().parents[1]
+
+# The YAML of every case in CI's console-script exit-code loop, the malformed one included.
+CI_CASES = [
+    "run: {duration: 0.2}",
+    "run: {x0: [0, 0, 0, 1.0e+9], duration: 0.01}",
+    "run: {duration: .inf}",
+    "barrier: {alpha: {family: tabulated, breakpoints: [[-1, -1], [0, 0], [.inf, 1]]}}",
+    "barrier: {alpha: {family: linear, k: 1.0e-320}}",
+    "controller: {excitation: {amplitude: 1.0}}",
+    "barrier: {alpha: {family: tabulated, breakpoints: [[0, 0], [1, 1]]}}",
+    'barrier: {alpha: {family: linear, k: "2"}}',
+    "learning: {features: {kind: polynomial, max_degree: 2, count: 5}}",
+    "run: {duration: 0.0105}",
+    "run: {duration: 1.0e-15}",
+    "system: {body_mass: 1.0e-6, wheel_mass: 1.0e-6, body_inertia: 1.0e-6}",
+    "run: {duration: [1, 2}",
+    "run: {duration: 0.02}\nlearning: {episodes: 1, episode_duration: 0.0105}",
+    "run: {duration: 0.05}\nlearning: {episodes: 1, episode_duration: 0.05, "
+    "features: {kind: random_fourier, count: 5, bandwidth: 1.0e-320}}",
+    "run: {duration: 0.05}\nlearning: {episodes: 1, episode_duration: 0.05, "
+    "features: {kind: random_fourier, count: 5, bandwidth: 1.0e-308, seed: 1}}",
+]
+MALFORMED_YAML = "run: {duration: [1, 2}\n"
+
+
+def _outcome(path):
+    """The resolved config, or the config error's message (a parse error only as its prefix)."""
+    try:
+        return load_config(path)
+    except ConfigError as exc:
+        message = str(exc)
+        return "cannot parse" if message.startswith(f"config error: cannot parse {path}: ") else message
+
+
+@pytest.fixture(params=["libyaml", "pure_python"])
+def loader(request, monkeypatch):
+    """Run the test with the loader load_config picks: libyaml's, or the fallback once CSafeLoader is gone."""
+    if request.param == "pure_python":
+        monkeypatch.delattr(yaml, "CSafeLoader", raising=False)
+    return request.param
+
+
+def test_load_config_picks_libyaml_if_present(monkeypatch):
+    expected = [getattr(yaml, "CSafeLoader", yaml.SafeLoader), yaml.SafeLoader]
+    used = []
+    real_load = yaml.load
+    monkeypatch.setattr(yaml, "load", lambda stream, Loader: used.append(Loader) or real_load(stream, Loader=Loader))
+    load_config(REPO_ROOT / "configs" / "benchmark.yaml")
+    monkeypatch.delattr(yaml, "CSafeLoader", raising=False)
+    load_config(REPO_ROOT / "configs" / "benchmark.yaml")
+    assert used == expected
+
+
+def test_loaders_give_equal_configs(tmp_path, monkeypatch):
+    paths = [REPO_ROOT / "configs" / "benchmark.yaml"]
+    for i, text in enumerate(CI_CASES):
+        paths.append(tmp_path / f"case{i}.yaml")
+        paths[-1].write_text(text + "\n")
+    with_libyaml = [_outcome(path) for path in paths]
+    monkeypatch.delattr(yaml, "CSafeLoader", raising=False)
+    fallback = [_outcome(path) for path in paths]
+    assert with_libyaml == fallback
+    assert with_libyaml[0] == DEFAULT_CONFIG
+    # Valid: the benchmark, the cases that exit 0 and 3, and the fractional episode, which only learn checks.
+    assert sum(isinstance(o, dict) for o in with_libyaml) == 4
+    assert with_libyaml.count("cannot parse") == 1
+
+
+def test_malformed_yaml_exit_code(tmp_path, capsys, loader):
+    path = tmp_path / "broken.yaml"
+    path.write_text(MALFORMED_YAML)
+    assert main(["simulate", "--config", str(path), "--out", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert err.count("config error") == 1 and "cannot parse" in err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("perturbation", [{"scale": {}, "drop_friction": False}, None],
+                         ids=["design_equals_plant", "benchmark_perturbation"])
+def test_model_error_drift_sup_matches_reference(perturbation):
+    """40 seeds: the stacked norms equal the per-sample loop bit for bit; no samples give the loop's start, 0.0."""
+    system = {} if perturbation is None else {"system": {"perturbation": perturbation}}
+    for seed in range(40):
+        scn = build_scenario({**system, "run": {"seed": seed}})
+        for samples in (0, 1, 7, 1000):
+            new = model_error_drift_sup(scn, samples)
+            assert type(new) is float
+            assert np.float64(new).tobytes() == np.float64(model_error_drift_sup_reference(scn, samples)).tobytes()
+        assert model_error_drift_sup(scn, 0) == 0.0
+        assert (model_error_drift_sup(scn, 7) > 0.0) == (perturbation is None)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_model_error_drift_sup_non_finite_rows(bad):
+    """A NaN norm is skipped and an infinite one is the sup, as in the loop; seen through stand-in drifts."""
+    def drift(x):
+        return np.array([x[0], bad if x[1] > 1.5 else x[1], x[2], x[3]])
+
+    scn = SimpleNamespace(seed=3, cfg={"barrier": {"pitch_max": 0.3, "pitch_rate_max": 1.0}},
+                          true_system=SimpleNamespace(drift=drift), nominal_system=SimpleNamespace(drift=lambda x: 0.5 * x))
+    for samples in (1, 7, 1000):
+        new, ref = model_error_drift_sup(scn, samples), model_error_drift_sup_reference(scn, samples)
+        assert np.float64(new).tobytes() == np.float64(ref).tobytes()
+    assert (0.0 < new < np.inf) if np.isnan(bad) else (new == np.inf)
+
+
+def test_model_error_drift_sup_benchmark_value():
+    scn = build_scenario(load_config(REPO_ROOT / "configs" / "benchmark.yaml"))
+    assert model_error_drift_sup(scn) == 2.7227515385429717
