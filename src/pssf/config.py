@@ -6,21 +6,26 @@ one value that an override replaces whole. Unknown keys are errors
 everywhere (no silent typos). ``validate_config`` returns the fully resolved
 dictionary, which every run writes beside its outputs so any artifact can be
 reproduced from what sits next to it.
+
+A rule is a JSON Schema subset that ``ioutil.rule_error`` walks, in model files
+too: type, minimum, exclusiveMinimum, enum, properties, additionalProperties
+(false), required, items, minItems, maxItems and anyOf. Of a config's errors it
+reports the shallowest, a type error first, then the first in keyword order; a
+failed anyOf reports its branch that fails in fewest ways.
 """
 
 from __future__ import annotations
 
 import copy
 import dataclasses
-import sys
 from pathlib import Path
 
-import jsonschema
 import yaml
 
 from . import kfun
 from .dynamics import BENCHMARK_PERTURBATION, PerturbationSpec, SegwayParams, step_count
-from .learning import FeatureMap
+from .ioutil import rule_block as _block, rule_error
+from .learning import FEATURES, FeatureMap
 
 
 class ConfigError(ValueError):
@@ -40,11 +45,6 @@ def _leaf(rule: dict, default) -> dict:
     return {**rule, "default": default}
 
 
-def _block(properties: dict, **extra) -> dict:
-    """An object whose keys are exactly ``properties``."""
-    return {"type": "object", "additionalProperties": False, **extra, "properties": properties}
-
-
 # The one declaration of every config key: its rule and, under "default", its
 # default value. A block with its own default is one value and is replaced
 # whole by an override; a block without one takes its keys' defaults.
@@ -53,8 +53,7 @@ SCHEMA = _block(required=["system", "barrier", "controller", "learning", "run"],
         **{name: _leaf(_POSITIVE, value) for name, value in _SEGWAY_DEFAULTS.items() if name != "viscous_friction"},
         "viscous_friction": _leaf(_NONNEGATIVE, _SEGWAY_DEFAULTS["viscous_friction"]),
         "perturbation": _block({
-            "scale": _leaf({"type": "object", "propertyNames": {"enum": list(_SEGWAY_DEFAULTS)},
-                            "additionalProperties": _POSITIVE}, dict(BENCHMARK_PERTURBATION.scale)),
+            "scale": _leaf(_block({name: _POSITIVE for name in _SEGWAY_DEFAULTS}), dict(BENCHMARK_PERTURBATION.scale)),
             "drop_friction": _leaf({"type": "boolean"}, BENCHMARK_PERTURBATION.drop_friction),
         }),
     }),
@@ -72,14 +71,7 @@ SCHEMA = _block(required=["system", "barrier", "controller", "learning", "run"],
     "learning": _block({
         "episodes": _leaf(_AT_LEAST_ONE, 5),
         "episode_duration": _leaf(_POSITIVE, 10.0),
-        "features": _leaf({**_block({
-            "kind": {"enum": ["polynomial", "random_fourier"]},
-            "max_degree": _AT_LEAST_ONE,
-            "count": _AT_LEAST_ONE,
-            "bandwidth": _POSITIVE,
-            "seed": {"type": "integer"},
-            "indices": {"type": "array", "items": {"type": "integer", "minimum": 0, "maximum": 3}},
-        }), "required": ["kind"]}, {"kind": "polynomial", "max_degree": 2, "indices": [1, 2, 3], "seed": 0}),
+        "features": _leaf(FEATURES, {"kind": "polynomial", "max_degree": 2, "indices": [1, 2, 3], "seed": 0}),
         "ridge_lambda": _leaf(_POSITIVE, 1.0e-3),
         "excitation": _block({"amplitude": _leaf(_NONNEGATIVE, 8.0), "hold_steps": _leaf(_AT_LEAST_ONE, 20)}),
         "x0_jitter": _leaf({"anyOf": [{"type": "null"}, _FOUR_NONNEGATIVE]}, None),
@@ -102,26 +94,15 @@ def _defaults(schema: dict):
 
 DEFAULT_CONFIG = _defaults(SCHEMA)
 
-# Built and checked against its metaschema once: jsonschema.validate repeats that check on every call.
-# A number must also fit a finite float: YAML's .inf and .nan, or an integer
-# beyond float range, would otherwise reach the dynamics and the certificate.
-_BASE_VALIDATOR = jsonschema.validators.validator_for(SCHEMA)
-_VALIDATOR = jsonschema.validators.extend(_BASE_VALIDATOR, type_checker=_BASE_VALIDATOR.TYPE_CHECKER.redefine(
-    "number", lambda checker, x: _BASE_VALIDATOR.TYPE_CHECKER.is_type(x, "number") and abs(x) <= sys.float_info.max,
-))(SCHEMA)
-_VALIDATOR.check_schema(SCHEMA)
 
-
-def _merge(schema: dict, base: dict, override: dict) -> dict:
-    """Override onto base: blocks without their own default merge key by key, all else is replaced whole."""
-    out = copy.deepcopy(base)
+def _merge(schema: dict, base: dict, override: dict) -> None:
+    """Override onto base, in place: blocks without their own default merge key by key, all else is replaced whole."""
     for key, value in override.items():
         sub = schema["properties"].get(key, {})
         if isinstance(value, dict) and "properties" in sub and "default" not in sub:
-            out[key] = _merge(sub, out[key], value)
+            _merge(sub, base[key], value)
         else:
-            out[key] = copy.deepcopy(value)
-    return out
+            base[key] = copy.deepcopy(value)
 
 
 def system_params(system: dict) -> tuple[SegwayParams, SegwayParams]:
@@ -144,14 +125,14 @@ def validate_config(user: dict) -> dict:
     """Merge onto defaults and validate; returns the fully resolved config."""
     if not isinstance(user, dict):
         raise ConfigError(f"config error: config must be a mapping, got {type(user).__name__}")
-    resolved = _merge(SCHEMA, DEFAULT_CONFIG, user)
-    error = jsonschema.exceptions.best_match(_VALIDATOR.iter_errors(resolved))
+    resolved = copy.deepcopy(DEFAULT_CONFIG)
+    _merge(SCHEMA, resolved, user)
+    error = rule_error(SCHEMA, resolved)
     if error is not None:
-        path = ".".join(str(p) for p in error.absolute_path) or "<root>"
-        raise ConfigError(f"config error at {path}: {error.message}") from error
+        raise ConfigError(f"config error at {error}")
 
-    # The step count, the Segway parameters, and the alpha and feature blocks
-    # (with kind-specific keys) are checked by the code that builds them.
+    # The step count, the Segway parameters, alpha and the feature weights' range
+    # are checked by the code that builds them.
     check_steps(resolved["run"]["duration"], resolved["run"]["dt"], "run.duration")
     try:
         system_params(resolved["system"])

@@ -10,7 +10,6 @@ episodes; the refreshed model feeds back into the filter for the next one.
 from __future__ import annotations
 
 import math
-import sys
 import warnings
 from dataclasses import dataclass
 from itertools import combinations_with_replacement
@@ -21,7 +20,7 @@ import numpy as np
 from .barrier import h_dot
 from .certify import delta_bound
 from .dynamics import BLOWUP_LIMIT, Trajectory, step_count
-from .ioutil import read_json, write_csv, write_json
+from .ioutil import read_json, rule_block, rule_error, write_csv, write_json
 
 if TYPE_CHECKING:
     from .scenario import Scenario
@@ -34,42 +33,31 @@ class EpisodicTrainingError(RuntimeError):
     """Every collection episode terminated early; nothing to fit."""
 
 
-_KIND_KEYS = {POLYNOMIAL: ("max_degree",), RANDOM_FOURIER: ("count", "bandwidth")}
+_AT_LEAST_ONE = {"type": "integer", "minimum": 1}
+_KIND_KEYS = {POLYNOMIAL: {"max_degree": _AT_LEAST_ONE},
+              RANDOM_FOURIER: {"count": _AT_LEAST_ONE, "bandwidth": {"type": "number", "exclusiveMinimum": 0}}}
+_INDICES = {"type": "array", "items": {"type": "integer", "enum": [0, 1, 2, 3]}}
 
 
-def _integer(value) -> bool:
-    """An int that is not a bool: a model file's ``true`` loads as True, which Python counts as the int 1."""
-    return isinstance(value, int) and not isinstance(value, bool)
+def _features_rule(**more) -> dict:
+    """A kind and that kind's keys, and optionally a seed >= 0 and indices into the Segway's 4 states, plus ``more``."""
+    return {"type": "object", "anyOf": [
+        rule_block({"kind": {"enum": [kind]}, **keys, "seed": {"type": "integer", "minimum": 0}, "indices": _INDICES,
+                    **more}, required=["kind", *keys]) for kind, keys in _KIND_KEYS.items()]}
+
+
+# The rule of a learning.features block, in a config and in a model file; the
+# model's adds the normalization and indices null (every coordinate), as to_config writes.
+FEATURES = _features_rule()
+MODEL_FEATURES = _features_rule(indices={"anyOf": [{"type": "null"}, _INDICES]}, center={"type": "array"},
+                                scale={"type": "array"})
 
 
 def feature_spec(cfg: dict) -> dict:
-    """Check a ``learning.features`` block; return kind, seed (default 0), indices (default None) and the kind's keys.
-
-    polynomial takes max_degree >= 1; random_fourier takes count >= 1 and a finite bandwidth > 0;
-    neither takes the other's keys. The seed is an integer >= 0 and every index an integer; no integer is a bool.
-    """
-    kind = cfg.get("kind")
-    if kind not in (POLYNOMIAL, RANDOM_FOURIER):
-        raise ValueError(f"unknown feature kind {kind!r}")
-    unknown = set(cfg) - {"kind", "seed", "indices", *_KIND_KEYS[kind]}
-    if unknown:
-        raise ValueError(f"unknown keys for {kind} features: {sorted(unknown)}")
-    if kind == POLYNOMIAL:
-        if not (_integer(cfg.get("max_degree")) and cfg["max_degree"] >= 1):
-            raise ValueError("polynomial features need an integer max_degree >= 1")
-    else:
-        count, bandwidth = cfg.get("count"), cfg.get("bandwidth")
-        finite = (_integer(bandwidth) or isinstance(bandwidth, float)) and bandwidth <= sys.float_info.max
-        if not (_integer(count) and count >= 1 and finite and bandwidth > 0.0):
-            raise ValueError("random_fourier features need an integer count >= 1 and a finite bandwidth > 0")
-    seed, indices = cfg.get("seed", 0), cfg.get("indices")
-    if not (_integer(seed) and seed >= 0):
-        raise ValueError(f"features need an integer seed >= 0, got {seed!r}")
-    if indices is not None:
-        indices = tuple(indices)
-        if not all(map(_integer, indices)):
-            raise ValueError(f"feature indices must be integers, got {list(indices)}")
-    return {"kind": kind, "seed": seed, "indices": indices, **{key: cfg[key] for key in _KIND_KEYS[kind]}}
+    """A features block that keeps ``FEATURES``, with seed (default 0) and indices (default None) filled in."""
+    indices = cfg.get("indices")
+    return {"kind": cfg["kind"], "seed": cfg.get("seed", 0), "indices": tuple(indices) if indices is not None else None,
+            **{key: cfg[key] for key in _KIND_KEYS[cfg["kind"]]}}
 
 
 class FeatureMap:
@@ -145,9 +133,10 @@ class FeatureMap:
 
     @classmethod
     def from_config(cls, cfg: dict) -> "FeatureMap":
-        """Inverse of :meth:`to_config`."""
-        if not isinstance(cfg, dict):
-            raise ValueError(f"a features block must be a mapping, got {cfg!r}")
+        """Inverse of :meth:`to_config`; a block that breaks ``MODEL_FEATURES`` is a ValueError."""
+        error = rule_error(MODEL_FEATURES, cfg, ("features",))
+        if error is not None:
+            raise ValueError(error)
         spec = {key: value for key, value in cfg.items() if key not in ("center", "scale")}
         return cls(spec, cfg["center"], cfg["scale"])
 

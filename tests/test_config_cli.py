@@ -71,6 +71,13 @@ class TestConfigValidation:
             validate_config({"run": {"x0": [0.0, 0.0, math.nan, 0.0]}})
         with pytest.raises(ConfigError, match="controller.kp"):
             validate_config({"controller": {"kp": 10**400}})
+        # An integer is no float, even a whole one (each of these crashed the run with a TypeError), and a
+        # number is no bool.
+        for where, user in (("learning.episodes", {"learning": {"episodes": 1.0}}),
+                            ("learning.excitation.hold_steps", {"learning": {"excitation": {"hold_steps": 20.0}}}),
+                            ("run.seed", {"run": {"seed": 0.0}}), ("controller.kp", {"controller": {"kp": True}})):
+            with pytest.raises(ConfigError, match=where):
+                validate_config(user)
         # 10.5 and zero steps of run.dt, a singular plant, and a design model only the perturbation makes singular.
         for where, block in (("run.duration", {"duration": 0.0105}), ("run.duration", {"duration": 1e-15}),
                              ("system", {"body_mass": 1e-6, "wheel_mass": 1e-6, "body_inertia": 1e-6}),

@@ -106,7 +106,8 @@ class TestFeatureMap:
             FeatureMap(poly(2, (1, 2)), center, scale)
 
     @pytest.mark.parametrize("spec", [{"kind": "random_fourier", "count": 8, "bandwidth": 2.0, "seed": 3,
-                                       "indices": (1, 3)}, poly(2, (1, 3))], ids=["random_fourier", "polynomial"])
+                                       "indices": (1, 3)}, poly(2, (1, 3)), poly(2)],
+                             ids=["random_fourier", "polynomial", "polynomial_every_coordinate"])
     def test_config_round_trip(self, spec):
         states = np.random.default_rng(3).normal(size=(10, 4))
         fm = FeatureMap.fit(spec, states)

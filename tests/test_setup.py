@@ -2,10 +2,14 @@
 
 ``load_config`` parses with libyaml where PyYAML has it and with the pure-Python
 loader otherwise; both must give the same resolved config and the same config
-errors. ``model_error_drift_sup`` takes its norms in one stacked call and must
-equal the per-sample loop it replaced (``tests/oracles.py``) bit for bit.
+errors, each at its pinned path. ``model_error_drift_sup`` takes its norms in one
+stacked call and must equal the per-sample loop it replaced (``tests/oracles.py``)
+bit for bit.
 """
 
+import os
+import subprocess
+import sys
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -21,26 +25,30 @@ from oracles import model_error_drift_sup_reference
 
 REPO_ROOT = Path(__file__).resolve().parents[1]
 
-# The YAML of every case in CI's console-script exit-code loop, the malformed one included.
+# The YAML of every case in CI's console-script exit-code loop, the malformed one included, each with the
+# start of the config error that load_config gives (None: the config is valid; see _outcome for a parse
+# error). The path is pinned and the message is not, so a change of validator cannot move a path silently.
 CI_CASES = [
-    "run: {duration: 0.2}",
-    "run: {x0: [0, 0, 0, 1.0e+9], duration: 0.01}",
-    "run: {duration: .inf}",
-    "barrier: {alpha: {family: tabulated, breakpoints: [[-1, -1], [0, 0], [.inf, 1]]}}",
-    "barrier: {alpha: {family: linear, k: 1.0e-320}}",
-    "controller: {excitation: {amplitude: 1.0}}",
-    "barrier: {alpha: {family: tabulated, breakpoints: [[0, 0], [1, 1]]}}",
-    'barrier: {alpha: {family: linear, k: "2"}}',
-    "learning: {features: {kind: polynomial, max_degree: 2, count: 5}}",
-    "run: {duration: 0.0105}",
-    "run: {duration: 1.0e-15}",
-    "system: {body_mass: 1.0e-6, wheel_mass: 1.0e-6, body_inertia: 1.0e-6}",
-    "run: {duration: [1, 2}",
-    "run: {duration: 0.02}\nlearning: {episodes: 1, episode_duration: 0.0105}",
-    "run: {duration: 0.05}\nlearning: {episodes: 1, episode_duration: 0.05, "
-    "features: {kind: random_fourier, count: 5, bandwidth: 1.0e-320}}",
-    "run: {duration: 0.05}\nlearning: {episodes: 1, episode_duration: 0.05, "
-    "features: {kind: random_fourier, count: 5, bandwidth: 1.0e-308, seed: 1}}",
+    ("run: {duration: 0.2}", None),
+    ("run: {x0: [0, 0, 0, 1.0e+9], duration: 0.01}", None),
+    ("run: {duration: .inf}", "config error at run.duration: "),
+    ("barrier: {alpha: {family: tabulated, breakpoints: [[-1, -1], [0, 0], [.inf, 1]]}}",
+     "config error at barrier.alpha: "),
+    ("barrier: {alpha: {family: linear, k: 1.0e-320}}", "config error at barrier.alpha: "),
+    ("controller: {excitation: {amplitude: 1.0}}", "config error at controller: "),
+    ("barrier: {alpha: {family: tabulated, breakpoints: [[0, 0], [1, 1]]}}", "config error at barrier.alpha: "),
+    ('barrier: {alpha: {family: linear, k: "2"}}', "config error at barrier.alpha: "),
+    ("learning: {features: {kind: polynomial, max_degree: 2, count: 5}}", "config error at learning.features: "),
+    ("run: {duration: 0.0105}", "config error at run.duration: "),
+    ("run: {duration: 1.0e-15}", "config error at run.duration: "),
+    ("system: {body_mass: 1.0e-6, wheel_mass: 1.0e-6, body_inertia: 1.0e-6}", "config error at system: "),
+    ("run: {seed: 0.0}", "config error at run.seed: "),
+    ("run: {duration: [1, 2}", "cannot parse"),
+    ("run: {duration: 0.02}\nlearning: {episodes: 1, episode_duration: 0.0105}", None),
+    ("run: {duration: 0.05}\nlearning: {episodes: 1, episode_duration: 0.05, "
+     "features: {kind: random_fourier, count: 5, bandwidth: 1.0e-320}}", "config error at learning.features: "),
+    ("run: {duration: 0.05}\nlearning: {episodes: 1, episode_duration: 0.05, "
+     "features: {kind: random_fourier, count: 5, bandwidth: 1.0e-308, seed: 1}}", "config error at learning.features: "),
 ]
 MALFORMED_YAML = "run: {duration: [1, 2}\n"
 
@@ -75,7 +83,7 @@ def test_load_config_picks_libyaml_if_present(monkeypatch):
 
 def test_loaders_give_equal_configs(tmp_path, monkeypatch):
     paths = [REPO_ROOT / "configs" / "benchmark.yaml"]
-    for i, text in enumerate(CI_CASES):
+    for i, (text, _) in enumerate(CI_CASES):
         paths.append(tmp_path / f"case{i}.yaml")
         paths[-1].write_text(text + "\n")
     with_libyaml = [_outcome(path) for path in paths]
@@ -86,6 +94,20 @@ def test_loaders_give_equal_configs(tmp_path, monkeypatch):
     # Valid: the benchmark, the cases that exit 0 and 3, and the fractional episode, which only learn checks.
     assert sum(isinstance(o, dict) for o in with_libyaml) == 4
     assert with_libyaml.count("cannot parse") == 1
+    for (text, pinned), outcome in zip(CI_CASES, with_libyaml[1:]):
+        if pinned is None:
+            assert isinstance(outcome, dict), (text, outcome)
+        else:
+            assert isinstance(outcome, str) and outcome.startswith(pinned), (text, outcome)
+
+
+def test_cli_import_leaves_out_jsonschema():
+    """The config gate needs no jsonschema, which would cost every process its import: a fresh one does not load it."""
+    code = "import sys, pssf.cli; print(sorted(m for m in sys.modules if m.partition('.')[0] == 'jsonschema'))"
+    paths = [str(REPO_ROOT / "src"), os.environ.get("PYTHONPATH")]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, paths))}
+    result = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    assert result.stdout.strip() == "[]"
 
 
 def test_malformed_yaml_exit_code(tmp_path, capsys, loader):
