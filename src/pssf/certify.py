@@ -21,7 +21,7 @@ import numpy as np
 from .barrier import BarrierFunction, HdotResidual, dot
 from .dynamics import ControlAffineSystem, Trajectory, affine_field
 from .ioutil import write_csv
-from .kfun import ComparisonFunction, compose
+from .kfun import ComparisonFunction, Composition
 
 @dataclass(frozen=True)
 class Projection:
@@ -219,7 +219,7 @@ def transport_inflation(sigma_upper: ComparisonFunction, gamma: ComparisonFuncti
     from above by sigma_upper(h(x)), then {h >= -gamma'(r)} is invariant in
     the original space.
     """
-    return compose(sigma_upper.inverse(), gamma)
+    return Composition(sigma_upper.inverse(), gamma)
 
 
 def verify_certificate(traj: Trajectory, bar: BarrierFunction, cert: PssfCertificate, tol: float = 1e-6) -> CertificateReport:

@@ -138,8 +138,8 @@ def validate_config(user: dict) -> dict:
         system_params(resolved["system"])
     except ValueError as exc:
         raise ConfigError(f"config error at system: {exc}") from exc
-    # The filter evaluates alpha at any h and every certificate needs alpha^-1 at
-    # any delta_bar >= 0, so alpha must have a representable inverse and take all reals.
+    # Every family takes all reals, as the filter's alpha at any h must; every
+    # certificate needs alpha^-1 at any delta_bar >= 0, so it must be representable.
     try:
         alpha = kfun.from_config(resolved["barrier"]["alpha"])
     except (ValueError, TypeError, OverflowError) as exc:
@@ -148,9 +148,6 @@ def validate_config(user: dict) -> dict:
         alpha.inverse()
     except (ValueError, OverflowError) as exc:
         raise ConfigError(f"config error at barrier.alpha: alpha^-1 is not representable: {exc}") from exc
-    if alpha.domain_kind != kfun.Domain():
-        raise ConfigError("config error at barrier.alpha: alpha must be defined on all reals (extended class "
-                          f"K-infinity), got [{alpha.domain_kind.lower}, {alpha.domain_kind.upper}]")
     # A map with a unit normalization draws the random_fourier weights, which must keep W z finite.
     features = resolved["learning"]["features"]
     n_sel = len(features["indices"]) if "indices" in features else len(resolved["run"]["x0"])

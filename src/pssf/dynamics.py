@@ -266,15 +266,14 @@ def step_rk4(
 
 
 def step_count(duration: float, dt: float) -> int:
-    """Number of dt steps in duration; ValueError unless duration/dt is within 1e-9 of an integer.
+    """Number of dt steps in duration; ValueError unless duration/dt is finite and within 1e-9 of an integer.
 
     Zero steps are allowed; a configured run needs at least one (``config.check_steps``).
     """
     steps_exact = duration / dt
-    n_steps = int(round(steps_exact))
-    if abs(steps_exact - n_steps) > 1e-9:
+    if not (math.isfinite(steps_exact) and abs(steps_exact - round(steps_exact)) <= 1e-9):
         raise ValueError(f"duration/dt = {steps_exact} is not close to an integer")
-    return n_steps
+    return round(steps_exact)
 
 
 def simulate(

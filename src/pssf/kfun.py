@@ -1,27 +1,23 @@
-"""Comparison-function algebra: class K, class K-infinity, and extended variants.
+"""Comparison-function algebra: extended class K-infinity functions on all reals.
 
 These scalar maps (strictly increasing, zero at zero) parameterize every
 safety condition in the package: the barrier decay rate, the disturbance
 gain, the set-inflation gain, and the sandwich bounds used by compatible
-projections. Closed forms are kept wherever they exist so that inverses and
-compositions stay cheap and exact.
+projections. Every family is a closed form, so inverses and compositions
+stay cheap and exact.
 
 Families:
     Linear(k)              k * r
     Power(c, p)            c * |r|**p * sign(r)   (odd extension on r < 0)
     Composition(o, i)      o(i(r))
-    TabulatedMonotone(..)  monotone piecewise-linear interpolation
 
 The odd extension for ``Power`` is the library's canonical rule for
 extending class-K functions to negative arguments; it makes every family
 usable as an extended class-K function without separate code paths.
 
-Every function has one domain, a :class:`Domain`: the finite arguments in
-[lower, upper], ends included, and 0. Closed forms take all reals, a table
-the span of its abscissae, and a composition its inner function's domain,
-clipped at 0 from below when the outer function is not extended. Infinite
-and NaN arguments lie outside every domain; constructors reject non-finite
-parameters.
+Every function takes every finite argument, so any two compose. Infinite
+and NaN arguments raise :class:`DomainError`; constructors reject
+non-finite parameters.
 """
 
 from __future__ import annotations
@@ -30,42 +26,21 @@ import math
 from dataclasses import dataclass
 from typing import Sequence
 
-import numpy as np
 
 class DomainError(ValueError):
-    """Argument lies outside the comparison function's domain."""
+    """Argument is infinite or NaN."""
 
 
 class NotInvertibleError(ValueError):
-    """The comparison function has no closed-form or tabulated inverse."""
-
-
-@dataclass(frozen=True)
-class Domain:
-    """Finite arguments in [lower, upper], and 0; extended reaches below 0."""
-
-    lower: float = -math.inf
-    upper: float = math.inf
-
-    @property
-    def extended(self) -> bool:
-        return self.lower < 0.0
-
-    def contains(self, r: float) -> bool:
-        return r == 0.0 or (self.lower <= r <= self.upper and math.isfinite(r))
+    """The comparison function has no closed-form inverse."""
 
 
 class ComparisonFunction:
     """Base class. Instances are immutable and safe to share across tasks."""
 
-    domain_kind: Domain = Domain()
-
     def __call__(self, r: float) -> float:
-        if not self.domain_kind.contains(r):
-            raise DomainError(
-                f"{r!r} outside domain [{self.domain_kind.lower}, "
-                f"{self.domain_kind.upper}] of {self!r}"
-            )
+        if not math.isfinite(r):
+            raise DomainError(f"{r!r} is not a finite argument of {self!r}")
         return self._eval(float(r))
 
     def _eval(self, r: float) -> float:
@@ -86,11 +61,8 @@ class Linear(ComparisonFunction):
             raise ValueError(f"Linear slope must be positive and finite, got {self.k}")
 
     def __call__(self, r: float) -> float:
-        # Every finite argument is in the domain; inf and NaN take the generic check, which raises.
+        # The whole map, with no _eval: a finite argument skips the generic check; inf and NaN take it, which raises.
         return self.k * float(r) if math.isfinite(r) else super().__call__(r)
-
-    def _eval(self, r: float) -> float:
-        return self.k * r
 
     def inverse(self) -> "Linear":
         return Linear(1.0 / self.k)
@@ -119,75 +91,17 @@ class Power(ComparisonFunction):
 
 @dataclass(frozen=True)
 class Composition(ComparisonFunction):
-    """outer(inner(r)). Build through :func:`compose` to get domain checks."""
+    """outer(inner(r)), on all reals like both parts."""
 
     outer: ComparisonFunction
     inner: ComparisonFunction
-    domain_kind: Domain
 
     def _eval(self, r: float) -> float:
         return self.outer(self.inner(r))
 
     def inverse(self) -> "Composition":
         # (o . i)^-1 = i^-1 . o^-1; raises if either part lacks an inverse.
-        return compose(self.inner.inverse(), self.outer.inverse())
-
-
-@dataclass(frozen=True)
-class TabulatedMonotone(ComparisonFunction):
-    """Monotone piecewise-linear interpolant through (r, value) breakpoints.
-
-    Lets callers certify with empirically sampled comparison functions. The
-    constructor only requires finite breakpoints and strictly increasing
-    abscissae; whether the table actually describes a class-K function is
-    checked by :func:`verify_class_membership`, not here, so deliberately
-    broken tables can be built and reported on.
-    """
-
-    breakpoints: tuple
-
-    def __init__(self, breakpoints: Sequence[Sequence[float]]):
-        pts = tuple((float(r), float(v)) for r, v in breakpoints)
-        if len(pts) < 2:
-            raise ValueError("need at least two breakpoints")
-        if not all(math.isfinite(x) for pt in pts for x in pt):
-            raise ValueError(f"breakpoints must be finite, got {pts}")
-        rs = [r for r, _ in pts]
-        if any(r2 <= r1 for r1, r2 in zip(rs, rs[1:])):
-            raise ValueError("breakpoint abscissae must be strictly increasing")
-        object.__setattr__(self, "breakpoints", pts)
-        object.__setattr__(self, "domain_kind", Domain(rs[0], rs[-1]))
-
-    def _eval(self, r: float) -> float:
-        rs = [p[0] for p in self.breakpoints]
-        vs = [p[1] for p in self.breakpoints]
-        return float(np.interp(r, rs, vs))
-
-    def inverse(self) -> "TabulatedMonotone":
-        vs = [p[1] for p in self.breakpoints]
-        if any(v2 <= v1 for v1, v2 in zip(vs, vs[1:])):
-            raise NotInvertibleError("table values are not strictly increasing")
-        return TabulatedMonotone([(v, r) for r, v in self.breakpoints])
-
-
-def compose(outer: ComparisonFunction, inner: ComparisonFunction) -> Composition:
-    """Composition outer(inner(r)).
-
-    The range of ``inner`` must sit inside the domain of ``outer``; by
-    monotonicity it suffices to check the two ends of the inner domain. An
-    infinite end needs the outer domain to be infinite on the same side. The
-    result takes the inner function's domain, clipped at 0 from below when
-    the outer function is not extended.
-    """
-    ik, ok = inner.domain_kind, outer.domain_kind
-    for end, outer_end, side in ((ik.upper, ok.upper, "above"), (ik.lower, ok.lower, "below")):
-        if math.isinf(end):
-            if outer_end != end:
-                raise DomainError(f"inner range is unbounded {side} but outer domain is not")
-        elif not ok.contains(value := inner._eval(end)):
-            raise DomainError(f"range of inner reaches {value}, outside domain of outer")
-    lower = ik.lower if ok.extended else max(ik.lower, 0.0)
-    return Composition(outer, inner, Domain(lower, ik.upper))
+        return Composition(self.inner.inverse(), self.outer.inverse())
 
 
 @dataclass(frozen=True)
@@ -211,7 +125,7 @@ class MembershipReport:
 def verify_class_membership(alpha: ComparisonFunction, grid: Sequence[float]) -> MembershipReport:
     """Check alpha(0) = 0, strict monotonicity, and sign conditions on a grid.
 
-    The grid must be sorted, lie inside alpha's claimed domain, and contain 0.
+    The grid must be sorted, finite, and contain 0.
     The checks run in that order and the report names the first that fails.
     """
     grid = [float(r) for r in grid]
@@ -219,8 +133,8 @@ def verify_class_membership(alpha: ComparisonFunction, grid: Sequence[float]) ->
         raise ValueError("grid must be sorted strictly increasing")
     if 0.0 not in grid:
         raise ValueError("grid must contain 0")
-    if not all(alpha.domain_kind.contains(r) for r in grid):
-        raise ValueError("grid must lie inside the claimed domain")
+    if not all(math.isfinite(r) for r in grid):
+        raise ValueError("grid must be finite")
 
     values = [alpha(r) for r in grid]
 
@@ -263,9 +177,5 @@ def from_config(spec: dict) -> ComparisonFunction:
     if family == "composition":
         if extra != {"outer", "inner"}:
             raise ValueError(f"composition takes exactly 'outer' and 'inner', got {sorted(extra)}")
-        return compose(from_config(spec["outer"]), from_config(spec["inner"]))
-    if family == "tabulated":
-        if extra != {"breakpoints"}:
-            raise ValueError(f"tabulated takes exactly 'breakpoints', got {sorted(extra)}")
-        return TabulatedMonotone([(_number(r), _number(v)) for r, v in spec["breakpoints"]])
+        return Composition(from_config(spec["outer"]), from_config(spec["inner"]))
     raise ValueError(f"unknown comparison function family {family!r}")

@@ -51,6 +51,12 @@ def _features_rule(**more) -> dict:
 FEATURES = _features_rule()
 MODEL_FEATURES = _features_rule(indices={"anyOf": [{"type": "null"}, _INDICES]}, center={"type": "array"},
                                 scale={"type": "array"})
+_NUMBERS = {"type": "array", "items": {"type": "number"}}
+_MODEL_KEYS = {"features": {}, "w_b": _NUMBERS, "W_a": {"type": "array", "items": _NUMBERS},
+               "ridge_lambda": {"type": "number", "exclusiveMinimum": 0},
+               "training_rms": {"type": "number", "minimum": 0}, "ill_conditioned": {"type": "boolean"}}
+# The rule of a model file, as ResidualModel.save writes it; FeatureMap.from_config checks its features block.
+MODEL = rule_block(_MODEL_KEYS, required=list(_MODEL_KEYS))
 
 
 def feature_spec(cfg: dict) -> dict:
@@ -240,15 +246,14 @@ class ResidualModel:
 
     @classmethod
     def load(cls, path) -> "ResidualModel":
+        """Inverse of :meth:`save`; a file that breaks ``MODEL`` or does not make a model is a ValueError."""
         obj = read_json(path)
-        return cls(
-            features=FeatureMap.from_config(obj["features"]),
-            w_b=np.asarray(obj["w_b"], dtype=float),
-            W_a=np.asarray(obj["W_a"], dtype=float),
-            ridge_lambda=float(obj["ridge_lambda"]),
-            training_rms=float(obj["training_rms"]),
-            ill_conditioned=bool(obj["ill_conditioned"]),
-        )
+        error = rule_error(MODEL, obj)
+        if error is not None:
+            raise ValueError(error)
+        return cls(FeatureMap.from_config(obj["features"]), np.asarray(obj["w_b"], dtype=float),
+                   np.asarray(obj["W_a"], dtype=float), obj["ridge_lambda"], obj["training_rms"],
+                   obj["ill_conditioned"])
 
 
 def fit_residual(data: Dataset, features: FeatureMap, ridge_lambda: float) -> ResidualModel:

@@ -7,8 +7,8 @@ finite-difference checks of analytic derivatives, an energy oracle for the
 Segway, the Segway evaluators' earlier memoizing form, the per-sample
 functions, the CSV writer and the sampled drift-error sup in their earlier
 numpy form, a sampled Lipschitz ratio, an alternative floor to compare
-against ``transport_inflation``, and a planar-disk demo with a nontrivial
-projection.
+against ``transport_inflation``, a comparison function that may break the
+class-K rules, and a planar-disk demo with a nontrivial projection.
 Keeping them beside the tests gives every name one import path and keeps
 ``src/`` free of code that no run calls.
 """
@@ -80,10 +80,22 @@ def direct_transport_floor(sigma_upper: ComparisonFunction, gamma: ComparisonFun
     """Diagnostic alternative floor sigma_upper^-1(-gamma(delta_bar)).
 
     Inverts the sandwich bound directly instead of composing gains; the two
-    coincide for linear sigma_upper and may differ otherwise. Requires an
-    extended sigma_upper since the argument is negative.
+    coincide for linear sigma_upper and may differ otherwise.
     """
     return sigma_upper.inverse()(-gamma(delta_bar))
+
+
+class Interpolated(ComparisonFunction):
+    """The piecewise-linear interpolant of (r, value) points by ``np.interp``, with no inverse.
+
+    Nothing makes it class K, so the membership and inverse checks can be shown a broken function.
+    """
+
+    def __init__(self, points: Sequence[tuple[float, float]]):
+        self.rs, self.values = zip(*points)
+
+    def _eval(self, r: float) -> float:
+        return float(np.interp(r, self.rs, self.values))
 
 
 def feature_map_reference(features: FeatureMap, states: np.ndarray) -> np.ndarray:

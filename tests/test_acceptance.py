@@ -28,11 +28,11 @@ from pssf.certify import (
     verify_certificate,
 )
 from pssf.dynamics import ControlAffineSystem, simulate
-from pssf.kfun import Linear, Power, TabulatedMonotone, verify_class_membership
+from pssf.kfun import Linear, Power, verify_class_membership
 from pssf.learning import Dataset, FeatureMap, ResidualModel, episodic_train, fit_residual
 from pssf.scenario import build_scenario, learn_artifacts, simulate_artifacts
 
-from oracles import planar_disk_demo
+from oracles import Interpolated, planar_disk_demo
 
 
 def report(criterion: str, detail: str) -> None:
@@ -295,7 +295,7 @@ class TestCriterion07ClassKAlgebra:
             for r in (-2.5, 0.1, 1.0, 7.0):
                 assert inflation(r) == gamma(r) / c
 
-        broken = TabulatedMonotone([(0.0, 0.0), (1.0, 0.5), (2.0, 0.4)])
+        broken = Interpolated([(0.0, 0.0), (1.0, 0.5), (2.0, 0.4)])
         membership = verify_class_membership(broken, [0.0, 1.0, 2.0])
         assert not membership.passed and membership.first_violation == (1.0, 2.0)
         report("criterion 7 (class-K algebra)",

@@ -16,11 +16,11 @@ from pssf.certify import (
 )
 from pssf.dynamics import ControlAffineSystem, Trajectory
 from pssf.ioutil import read_csv
-from pssf.kfun import Linear, NotInvertibleError, Power, compose
+from pssf.kfun import Linear, NotInvertibleError, Power
 from pssf.learning import FeatureMap, ResidualModel
 from pssf.scenario import build_scenario
 
-from oracles import check_jacobian, direct_transport_floor, planar_disk_demo
+from oracles import Interpolated, check_jacobian, direct_transport_floor, planar_disk_demo
 
 
 def random_affine_instance(rng, n=3, m=2):
@@ -255,11 +255,7 @@ class TestTransport:
             assert direct == pytest.approx(composed, rel=1e-12)
 
     def test_not_invertible_propagates(self):
-        table = compose(Linear(1.0), Linear(1.0))
-        bad = table  # composition of linears is invertible; use a broken table instead
-        from pssf.kfun import TabulatedMonotone
-
-        broken = TabulatedMonotone([(0.0, 0.0), (1.0, 0.5), (2.0, 0.4)])
+        broken = Interpolated([(0.0, 0.0), (1.0, 0.5), (2.0, 0.4)])
         with pytest.raises(NotInvertibleError):
             transport_inflation(broken, Linear(1.0))
 

@@ -104,10 +104,13 @@ class TestConfigValidation:
                       {"family": "power", "c": 1.0e+300, "p": 0.01}):
             with pytest.raises(ConfigError, match="alpha"):
                 validate_config({"barrier": {"alpha": alpha}})
-        # Tables take only the span of their breakpoints; the filter and the certificate need all reals.
-        for breakpoints in ([[-10, -9], [10, 11]], [[0, 0], [1, 1]], [[-1, -1], [1, 1]]):
-            with pytest.raises(ConfigError, match=r"defined on all reals \(extended class K-infinity\)"):
-                validate_config({"barrier": {"alpha": {"family": "tabulated", "breakpoints": breakpoints}}})
+        # No family but the closed forms, which take all reals as the filter and the certificate need: not a
+        # table, alone or inside a composition.
+        tables = [{"family": "tabulated", "breakpoints": breakpoints}
+                  for breakpoints in ([[-10, -9], [10, 11]], [[0, 0], [1, 1]], [[-1, -1], [1, 1]])]
+        for alpha in (*tables, {"family": "composition", "outer": {"family": "linear", "k": 1.0}, "inner": tables[2]}):
+            with pytest.raises(ConfigError, match="at barrier.alpha: unknown comparison function family 'tabulated'"):
+                validate_config({"barrier": {"alpha": alpha}})
 
     # The last five passed the gate and then crashed learn: numpy takes neither a negative seed nor a float
     # index, and a bandwidth this small makes every (1e-320) or some (1e-308) of the weights normal / bandwidth inf,
@@ -361,9 +364,14 @@ class TestLearnCommand:
         # Seed 5 draws finite weights at this bandwidth, but W z overflows; the run used to pass on garbage features.
         lambda m: (m["features"].pop("max_degree"),
                    m["features"].update(kind="random_fourier", count=len(m["w_b"]), bandwidth=1.0e-308, seed=5)),
+        # The other values are checked, not coerced: these loaded as True, 1.0 and 0.5, and the run exited 0.
+        lambda m: m.__setitem__("ill_conditioned", "false"),
+        lambda m: m.__setitem__("ridge_lambda", True),
+        lambda m: m["w_b"].__setitem__(0, "0.5"),
     ], ids=["W_a_rows", "w_b_short", "center_short", "w_b_nan", "scale_zero", "indices_null", "features_list",
             "index_out_of_range", "polynomial_with_count", "max_degree_bool", "index_bool", "seed_bool",
-            "bandwidth_inf", "bandwidth_subnormal", "bandwidth_tiny_finite_weights"])
+            "bandwidth_inf", "bandwidth_subnormal", "bandwidth_tiny_finite_weights",
+            "ill_conditioned_string", "ridge_lambda_bool", "w_b_string"])
     def test_malformed_model_is_config_error(self, tmp_path, capsys, corrupt):
         model = json.loads((REPO_ROOT / "perfbench" / "inputs" / "model_seed0.json").read_text())
         corrupt(model)

@@ -294,6 +294,9 @@ class TestSimulate:
         sys = ControlAffineSystem(1, 1, lambda x: -x, lambda x: np.zeros((1, 1)))
         with pytest.raises(ValueError):
             simulate(sys, lambda x, t: np.zeros(1), np.array([1.0]), 1.0, 3e-4)
+        # duration/dt is inf, which has no nearest integer.
+        with pytest.raises(ValueError):
+            simulate(sys, lambda x, t: np.zeros(1), np.array([1.0]), 1.0, 1.0e-320)
 
     def test_trajectory_invariants(self):
         sys = ControlAffineSystem(1, 1, lambda x: -x, lambda x: np.zeros((1, 1)))

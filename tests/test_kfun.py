@@ -10,12 +10,11 @@ from pssf.kfun import (
     Composition,
     DomainError,
     Linear,
-    NotInvertibleError,
     Power,
-    TabulatedMonotone,
-    compose,
     verify_class_membership,
 )
+
+from oracles import Interpolated
 
 
 class TestEvaluate:
@@ -33,16 +32,6 @@ class TestEvaluate:
     def test_power_zero_exact(self):
         assert Power(3.0, 0.5)(0.0) == 0.0
 
-    def test_tabulated_interpolation(self):
-        tab = TabulatedMonotone([(0.0, 0.0), (1.0, 2.0), (2.0, 3.0)])
-        assert tab(0.5) == pytest.approx(1.0)
-        assert tab(0.0) == 0.0
-
-    def test_tabulated_domain_error(self):
-        tab = TabulatedMonotone([(0.0, 0.0), (1.0, 1.0)])
-        with pytest.raises(DomainError):
-            tab(1.5)
-
     def test_invalid_parameters(self):
         with pytest.raises(ValueError):
             Linear(0.0)
@@ -52,16 +41,14 @@ class TestEvaluate:
             Linear(math.inf)
         with pytest.raises(ValueError):
             Power(1.0, math.inf)
-        with pytest.raises(ValueError):
-            TabulatedMonotone([(0.0, 0.0), (math.nan, 1.0), (2.0, 2.0)])
 
     @pytest.mark.parametrize(
         "alpha",
         [
             Linear(2.0),
             Power(1.0, 3.0),
-            TabulatedMonotone([(-1.0, -1.0), (0.0, 0.0), (1.0, 1.0)]),
-            compose(Linear(2.0), Power(1.0, 3.0)),
+            Interpolated([(-1.0, -1.0), (0.0, 0.0), (1.0, 1.0)]),
+            Composition(Linear(2.0), Power(1.0, 3.0)),
         ],
     )
     @pytest.mark.parametrize("r", [math.inf, -math.inf, math.nan])
@@ -86,22 +73,10 @@ class TestInverse:
             assert inv(Power(1.0, 2.0)(r)) == pytest.approx(r, rel=1e-12)
 
     def test_composition_inverse_of_closed_forms(self):
-        comp = compose(Linear(2.0), Power(1.0, 3.0))
+        comp = Composition(Linear(2.0), Power(1.0, 3.0))
         inv = comp.inverse()
         for r in (-2.0, -0.3, 0.4, 5.0):
             assert inv(comp(r)) == pytest.approx(r, rel=1e-9)
-
-    def test_tabulated_inverse_is_transposition(self):
-        tab = TabulatedMonotone([(-1.0, -2.0), (0.0, 0.0), (1.0, 0.5), (3.0, 4.0)])
-        inv = tab.inverse()
-        assert inv.breakpoints == tuple((v, r) for r, v in tab.breakpoints)
-        for r in np.linspace(-1.0, 3.0, 17):
-            assert inv(tab(r)) == pytest.approx(r, abs=1e-12)
-
-    def test_non_monotone_table_not_invertible(self):
-        tab = TabulatedMonotone([(0.0, 0.0), (1.0, 0.5), (2.0, 0.4)])
-        with pytest.raises(NotInvertibleError):
-            tab.inverse()
 
     @given(st.floats(min_value=0.05, max_value=50.0), st.floats(min_value=-100.0, max_value=100.0))
     @settings(deadline=None, max_examples=100)
@@ -123,43 +98,32 @@ class TestInverse:
 class TestCompose:
     def test_identity_outer(self):
         gamma = Power(2.0, 3.0)
-        comp = compose(Linear(1.0), gamma)
+        comp = Composition(Linear(1.0), gamma)
         for r in (-1.5, 0.0, 0.7):
             assert comp(r) == gamma(r)
 
     def test_hand_evaluation(self):
         # 0.5 * (1 * 2^2)
-        assert compose(Linear(0.5), Power(1.0, 2.0))(2.0) == 2.0
+        assert Composition(Linear(0.5), Power(1.0, 2.0))(2.0) == 2.0
 
     def test_inflation_pattern(self):
         # sigma_upper = Linear(2), gamma = Linear(6): composed slope 3
-        comp = compose(Linear(2.0).inverse(), Linear(6.0))
+        comp = Composition(Linear(2.0).inverse(), Linear(6.0))
         assert comp(1.0) == 3.0
 
     def test_linear_coincidence_exact(self):
         # power-of-two upper bounds make (1/c) * g(r) == g(r) / c bitwise
         gamma = Power(1.3, 1.7)
         for c in (0.25, 0.5, 2.0, 4.0, 8.0):
-            comp = compose(Linear(c).inverse(), gamma)
+            comp = Composition(Linear(c).inverse(), gamma)
             for r in (-3.7, -0.2, 0.9, 11.0):
                 assert comp(r) == gamma(r) / c
 
     def test_linear_coincidence_general_scale(self):
         gamma = Linear(6.0)
-        comp = compose(Linear(3.0).inverse(), gamma)
+        comp = Composition(Linear(3.0).inverse(), gamma)
         for r in (-2.0, 0.4, 1.0, 9.3):
             assert comp(r) == pytest.approx(gamma(r) / 3.0, rel=1e-15)
-
-    def test_range_domain_mismatch(self):
-        bounded = TabulatedMonotone([(0.0, 0.0), (1.0, 1.0)])
-        with pytest.raises(DomainError):
-            compose(bounded, Linear(5.0))
-
-    def test_result_domain_is_weakest_common(self):
-        bounded = TabulatedMonotone([(0.0, 0.0), (1.0, 1.0)])
-        comp = compose(Linear(2.0), bounded)
-        assert not comp.domain_kind.extended
-        assert comp.domain_kind.upper == 1.0
 
     @given(
         st.floats(min_value=0.2, max_value=5.0),
@@ -170,8 +134,8 @@ class TestCompose:
     @settings(deadline=None, max_examples=100)
     def test_associativity_on_evaluation(self, k1, k2, p, r):
         a, b, c = Linear(k1), Power(k2, p), Linear(2.0)
-        left = compose(a, compose(b, c))(r)
-        right = compose(compose(a, b), c)(r)
+        left = Composition(a, Composition(b, c))(r)
+        right = Composition(Composition(a, b), c)(r)
         assert left == pytest.approx(right, abs=1e-12 * max(1.0, abs(left)))
 
     @given(
@@ -180,7 +144,7 @@ class TestCompose:
     )
     @settings(deadline=None, max_examples=50)
     def test_class_closure(self, k, p):
-        comp = compose(Linear(k), Power(1.0, p))
+        comp = Composition(Linear(k), Power(1.0, p))
         grid = sorted(set(np.linspace(-3.0, 3.0, 31)) | {0.0})
         assert verify_class_membership(comp, grid).passed
 
@@ -190,7 +154,7 @@ class TestMembership:
         assert verify_class_membership(Linear(1.0), [-1.0, 0.0, 1.0]).passed
 
     def test_constructed_monotonicity_violation(self):
-        tab = TabulatedMonotone([(0.0, 0.0), (1.0, 0.5), (2.0, 0.4)])
+        tab = Interpolated([(0.0, 0.0), (1.0, 0.5), (2.0, 0.4)])
         report = verify_class_membership(tab, [0.0, 1.0, 2.0])
         assert not report.passed
         assert report.failure == "monotonicity"
@@ -201,7 +165,7 @@ class TestMembership:
         assert verify_class_membership(Power(1.0, 3.0), grid).passed
 
     def test_zero_violation_reported(self):
-        tab = TabulatedMonotone([(-1.0, -0.5), (0.0, 0.1), (1.0, 0.7)])
+        tab = Interpolated([(-1.0, -0.5), (0.0, 0.1), (1.0, 0.7)])
         report = verify_class_membership(tab, [-1.0, 0.0, 1.0])
         assert not report.passed and report.failure == "zero"
 
@@ -210,6 +174,8 @@ class TestMembership:
             verify_class_membership(Linear(1.0), [1.0, 0.0])
         with pytest.raises(ValueError):
             verify_class_membership(Linear(1.0), [-1.0, 1.0])
+        with pytest.raises(ValueError, match="grid must be finite"):
+            verify_class_membership(Linear(1.0), [-1.0, 0.0, math.inf])
 
 
 class TestSerialization:
@@ -218,11 +184,9 @@ class TestSerialization:
         [
             (Linear(2.5), {"family": "linear", "k": 2.5}),
             (Power(1.2, 0.5), {"family": "power", "c": 1.2, "p": 0.5}),
-            (compose(Linear(2.0), Power(1.0, 2.0)),
+            (Composition(Linear(2.0), Power(1.0, 2.0)),
              {"family": "composition", "outer": {"family": "linear", "k": 2.0},
               "inner": {"family": "power", "c": 1.0, "p": 2.0}}),
-            (TabulatedMonotone([(0.0, 0.0), (1.0, 0.4), (2.0, 1.1)]),
-             {"family": "tabulated", "breakpoints": [[0.0, 0.0], [1.0, 0.4], [2.0, 1.1]]}),
         ],
     )
     def test_round_trip(self, alpha):

@@ -43,6 +43,7 @@ CI_CASES = [
     ("run: {duration: 1.0e-15}", "config error at run.duration: "),
     ("system: {body_mass: 1.0e-6, wheel_mass: 1.0e-6, body_inertia: 1.0e-6}", "config error at system: "),
     ("run: {seed: 0.0}", "config error at run.seed: "),
+    ("run: {dt: 1.0e-320}", "config error at run.duration: "),
     ("run: {duration: [1, 2}", "cannot parse"),
     ("run: {duration: 0.02}\nlearning: {episodes: 1, episode_duration: 0.0105}", None),
     ("run: {duration: 0.05}\nlearning: {episodes: 1, episode_duration: 0.05, "
