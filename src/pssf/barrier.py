@@ -7,16 +7,21 @@ The safe set is C = {x : h(x) >= 0}. The filter solves
 in closed form, where hdot_model uses the design model (f_hat, g_hat) and,
 when a residual model is supplied, its learned correction terms
 b_hat(x) + a_hat(x)^T u in the barrier derivative.
+
+Everything here runs on Python floats, as the rollout does: h(x) is a float,
+grad_h(x), u and a_hat(x) are sequences of floats, and each sum of products
+(grad_h . g, grad_h . f, a . u) is a left-to-right chain from 0.0
+through :func:`pssf.dynamics.dot`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Optional, Protocol
+from typing import Callable, NamedTuple, Optional, Protocol, Sequence
 
 import numpy as np
 
-from .dynamics import ControlAffineSystem
+from .dynamics import ControlAffineSystem, dot
 from .kfun import ComparisonFunction, Linear
 
 
@@ -27,39 +32,33 @@ class DegenerateGradientError(RuntimeError):
 class HdotResidual(Protocol):
     """Learned correction to the modeled barrier derivative."""
 
-    def terms(self, x: np.ndarray) -> tuple[float, np.ndarray]:
-        """Return (b_hat(x), a_hat(x)) with a_hat of shape (m,)."""
+    def terms(self, x: Sequence[float]) -> tuple[float, Sequence[float]]:
+        """Return (b_hat(x), a_hat(x)) with a_hat a sequence of m floats."""
         ...
 
 
 @dataclass(frozen=True)
 class BarrierFunction:
-    """h, its analytic gradient, and the decay rate alpha (extended class K-inf)."""
+    """h, its analytic gradient (a sequence of n floats), and the decay rate alpha (extended class K-inf)."""
 
-    h: Callable[[np.ndarray], float]
-    grad_h: Callable[[np.ndarray], np.ndarray]
+    h: Callable[[Sequence[float]], float]
+    grad_h: Callable[[Sequence[float]], Sequence[float]]
     alpha: ComparisonFunction
 
 
-@dataclass(frozen=True)
-class FilterResult:
-    u: np.ndarray
+class FilterResult(NamedTuple):
+    u: Sequence[float]
     constraint_margin: float
     modified: bool
     infeasible: bool
 
 
-def dot(a: np.ndarray, v: np.ndarray) -> float:
-    """float(a @ v) for 1-D a and v; a single product runs on floats (numpy's sum starts from +0.0, so does this)."""
-    return 0.0 + a.item() * v.item() if a.size == 1 else float(a @ v)
-
-
-def h_dot(bar: BarrierFunction, sys: ControlAffineSystem, x: np.ndarray, u: np.ndarray) -> float:
+def h_dot(bar: BarrierFunction, sys: ControlAffineSystem, x: Sequence[float], u: Sequence[float]) -> float:
     """hdot(x, u) = dh/dx(x) . (f(x) + g(x) u)."""
-    return float(bar.grad_h(x).dot(sys.field_at(x, u)))
+    return dot(bar.grad_h(x), sys.field_at(x, u))
 
 
-def cbf_margin(bar: BarrierFunction, sys: ControlAffineSystem, x: np.ndarray, u: np.ndarray) -> float:
+def cbf_margin(bar: BarrierFunction, sys: ControlAffineSystem, x: Sequence[float], u: Sequence[float]) -> float:
     """hdot(x, u) + alpha(h(x)); u satisfies the barrier condition iff >= 0."""
     return h_dot(bar, sys, x, u) + bar.alpha(bar.h(x))
 
@@ -67,8 +66,8 @@ def cbf_margin(bar: BarrierFunction, sys: ControlAffineSystem, x: np.ndarray, u:
 def issf_margin(
     bar: BarrierFunction,
     sys: ControlAffineSystem,
-    x: np.ndarray,
-    u: np.ndarray,
+    x: Sequence[float],
+    u: Sequence[float],
     d_bound: float,
     iota: ComparisonFunction = Linear(1.0),
 ) -> float:
@@ -98,8 +97,8 @@ def issf_margin(
 def safety_filter(
     bar: BarrierFunction,
     model: ControlAffineSystem,
-    u_des: np.ndarray,
-    x: np.ndarray,
+    u_des: Sequence[float],
+    x: Sequence[float],
     residual: Optional[HdotResidual] = None,
 ) -> FilterResult:
     """Min-norm modification of u_des enforcing the model barrier condition.
@@ -110,28 +109,28 @@ def safety_filter(
     u_des onto that half-space. If ||a|| vanishes while the constraint is
     violated the problem is infeasible (h is momentarily uncontrollable);
     u_des is returned with the infeasible flag set so the rollout and its
-    PSSf analysis can continue.
+    PSSf analysis can continue. A modified u is a tuple of floats.
     """
-    u_des = np.asarray(u_des, dtype=float).reshape(model.input_dim)
     grad = bar.grad_h(x)
-    a = grad.dot(model.actuation(x))
-    b = -bar.alpha(bar.h(x)) - float(grad.dot(model.drift(x)))
+    g, m = model.actuation(x), model.input_dim
+    a = [dot(grad, g[k::m]) for k in range(m)]
+    b = -bar.alpha(bar.h(x)) - dot(grad, model.drift(x))
     if residual is not None:
         b_hat, a_hat = residual.terms(x)
-        a = a + a_hat
+        a = [ak + ak_hat for ak, ak_hat in zip(a, a_hat)]
         b = b - b_hat
 
     slack = dot(a, u_des) - b
     if slack >= 0.0:
-        return FilterResult(u=u_des, constraint_margin=slack, modified=False, infeasible=False)
+        return FilterResult(u_des, slack, False, False)
 
     a_sq = dot(a, a)
     if a_sq <= 1e-10 ** 2:
-        return FilterResult(u=u_des, constraint_margin=slack, modified=False, infeasible=True)
+        return FilterResult(u_des, slack, False, True)
 
     step = -slack / a_sq
-    u = np.array([u_des.item() + step * a.item()]) if a.size == 1 else u_des + step * a
-    return FilterResult(u=u, constraint_margin=dot(a, u) - b, modified=True, infeasible=False)
+    u = tuple([uk + step * ak for uk, ak in zip(u_des, a)])
+    return FilterResult(u, dot(a, u) - b, True, False)
 
 
 class FilteredController:
@@ -149,7 +148,7 @@ class FilteredController:
         self,
         bar: BarrierFunction,
         model: ControlAffineSystem,
-        desired: Callable[[np.ndarray, float], np.ndarray],
+        desired: Callable[[Sequence[float], float], Sequence[float]],
         residual: Optional[HdotResidual] = None,
         u_limit: Optional[float] = None,
     ):
@@ -165,16 +164,15 @@ class FilteredController:
         self.infeasible_count = 0
         self.clamped_count = 0
 
-    def filter_result(self, x: np.ndarray, t: float) -> FilterResult:
-        u_des = np.asarray(self.desired(x, t), dtype=float)
-        return safety_filter(self.bar, self.model, u_des, x, residual=self.residual)
+    def filter_result(self, x: Sequence[float], t: float) -> FilterResult:
+        return safety_filter(self.bar, self.model, self.desired(x, t), x, residual=self.residual)
 
-    def __call__(self, x: np.ndarray, t: float) -> np.ndarray:
+    def __call__(self, x: Sequence[float], t: float) -> Sequence[float]:
         result = self.filter_result(x, t)
         if result.infeasible:
             self.infeasible_count += 1
-        u = result.u
-        if self.u_limit is not None and any(abs(v) > self.u_limit for v in u.tolist()):
+        u, limit = result.u, self.u_limit
+        if limit is not None and max(map(abs, u)) > limit:
             self.clamped_count += 1
-            u = np.minimum(np.maximum(u, -self.u_limit), self.u_limit)
+            u = tuple([min(max(v, -limit), limit) for v in u])
         return u

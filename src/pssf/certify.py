@@ -9,6 +9,10 @@ observed |delta| inflates the safe set; the inflated set
 {h >= -alpha^-1(delta_bar)} is what a certificate claims stays invariant,
 and :func:`verify_certificate` checks that claim against a trajectory
 instead of assuming it.
+
+delta is computed on Python floats, like the rollout it judges: recorded
+states and inputs are read back one row at a time, and each sum of products
+is a left-to-right chain from 0.0 (:func:`pssf.dynamics.dot`).
 """
 
 from __future__ import annotations
@@ -18,10 +22,11 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .barrier import BarrierFunction, HdotResidual, dot
-from .dynamics import ControlAffineSystem, Trajectory, affine_field
+from .barrier import BarrierFunction, HdotResidual
+from .dynamics import ControlAffineSystem, Trajectory, affine_field, dot
 from .ioutil import write_csv
 from .kfun import ComparisonFunction, Composition
+
 
 @dataclass(frozen=True)
 class Projection:
@@ -154,8 +159,8 @@ def projected_disturbance(
     bar: BarrierFunction,
     true_sys: ControlAffineSystem,
     nominal_sys: ControlAffineSystem,
-    x: np.ndarray,
-    u: np.ndarray,
+    x: Sequence[float],
+    u: Sequence[float],
     residual: Optional[HdotResidual] = None,
 ) -> float:
     """delta = grad_h(x) . [(f - f_hat)(x) + (g - g_hat)(x) u] - [b_hat(x) + a_hat(x) . u].
@@ -166,12 +171,12 @@ def projected_disturbance(
     terms do not explain; without one the prediction is zero.
     """
     grad = bar.grad_h(x)
-    df = true_sys.drift(x) - nominal_sys.drift(x)
-    dg = true_sys.actuation(x) - nominal_sys.actuation(x)
-    delta = float(grad.dot(np.array(affine_field(u)(df, dg))))
+    df = [fi - fi_hat for fi, fi_hat in zip(true_sys.drift(x), nominal_sys.drift(x))]
+    dg = [gi - gi_hat for gi, gi_hat in zip(true_sys.actuation(x), nominal_sys.actuation(x))]
+    delta = dot(grad, affine_field(u)(df, dg))
     if residual is not None:
         b_hat, a_hat = residual.terms(x)
-        delta -= b_hat + dot(np.asarray(a_hat), u)
+        delta -= b_hat + dot(a_hat, u)
     return delta
 
 
@@ -187,10 +192,9 @@ def closed_loop_delta_trace(
     Uses the recorded inputs, so the controller is baked in exactly as it
     acted during the rollout.
     """
-    deltas = np.empty(len(traj.inputs))
-    for j in range(len(traj.inputs)):
-        deltas[j] = projected_disturbance(bar, true_sys, nominal_sys, traj.states[j], traj.inputs[j], residual)
-    return DeltaTrace(times=traj.times[:-1].copy(), delta=deltas)
+    deltas = [projected_disturbance(bar, true_sys, nominal_sys, x.tolist(), u.tolist(), residual)
+              for x, u in zip(traj.states, traj.inputs)]
+    return DeltaTrace(times=traj.times[:-1].copy(), delta=np.array(deltas))
 
 
 def delta_bound(trace: DeltaTrace) -> float:
@@ -231,8 +235,8 @@ def verify_certificate(traj: Trajectory, bar: BarrierFunction, cert: PssfCertifi
     delta_bar and h cover only the part that ran. Failures are reported,
     never masked.
     """
-    h_values = np.array([bar.h(x) for x in traj.states])
-    min_h = float(np.min(h_values))
+    h_values = [bar.h(x.tolist()) for x in traj.states]
+    min_h = min(h_values)
     if h_values[0] < cert.floor:
         status = "precondition_violated"
     elif traj.terminated_early:

@@ -3,16 +3,20 @@
 Systems are represented by their drift f(x) and actuation g(x) evaluators,
 so xdot = f(x) + g(x) u (+ d for an additive disturbance). Rollouts use
 fixed-step classical Runge-Kutta with zero-order-hold inputs, which keeps
-simulations deterministic and mirrors a discrete control loop. The RK4 stage
-arithmetic runs on Python floats, in the same operation order as the vector
-formula, so a step equals its numpy form bit for bit at a fraction of the
-interpreter cost.
+simulations deterministic and mirrors a discrete control loop.
+
+The closed loop runs on Python floats: a state, an input, f(x) and the
+row-major entries of g(x) are sequences of floats, and numpy only stores
+what a rollout records. Every sum of products, here and in ``barrier``,
+``certify`` and ``learning``, is one left-to-right chain from 0.0 through
+:func:`dot`, so no result depends on a BLAS kernel's summation order.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
+from itertools import repeat
 from typing import Callable, Mapping, Optional, Sequence
 
 import numpy as np
@@ -31,10 +35,6 @@ class NonFiniteDynamicsError(RuntimeError):
     """Drift or actuation produced NaN/Inf, which is a hard error."""
 
 
-class DisturbanceBoundError(RuntimeError):
-    """A disturbance sample exceeded its declared sup-norm bound."""
-
-
 @dataclass(frozen=True)
 class ControlAffineSystem:
     """Evaluators for xdot = f(x) + g(x) u.
@@ -42,24 +42,25 @@ class ControlAffineSystem:
     Attributes:
         state_dim: n, dimension of the state.
         input_dim: m, dimension of the input.
-        drift: x -> f(x), shape (n,).
-        actuation: x -> g(x), shape (n, m).
+        drift: x -> f(x), a sequence of n floats.
+        actuation: x -> g(x), a sequence of n * m floats, row-major: g[i * m + k] is the (i, k) entry.
 
-    ``drift`` and ``actuation`` receive x as a 1-D float ndarray of shape
-    (n,). They must be pure functions of its values that keep no state
-    between calls, and return fresh arrays that the caller may keep or
-    modify. :func:`step_rk4` evaluates each of them once per RK stage.
-    Local Lipschitz continuity of f and g is assumed, not checked.
+    ``drift`` and ``actuation`` receive x as a sequence of n floats (a tuple
+    or list in a rollout). They must be pure functions of its values that
+    keep no state between calls; the Segway's return tuples. Each entry of
+    g u is the chain :func:`dot` defines. :func:`step_rk4` evaluates each of
+    them once per RK stage. Local Lipschitz continuity of f and g is assumed,
+    not checked.
     """
 
     state_dim: int
     input_dim: int
-    drift: Callable[[np.ndarray], np.ndarray]
-    actuation: Callable[[np.ndarray], np.ndarray]
+    drift: Callable[[Sequence[float]], Sequence[float]]
+    actuation: Callable[[Sequence[float]], Sequence[float]]
 
-    def field_at(self, x: np.ndarray, u: np.ndarray, d: Optional[np.ndarray] = None) -> np.ndarray:
-        """xdot = f(x) + g(x) u (+ d)."""
-        return np.array(affine_field(u, d)(self.drift(x), self.actuation(x)))
+    def field_at(self, x: Sequence[float], u: Sequence[float], d: Optional[Sequence[float]] = None) -> list:
+        """xdot = f(x) + g(x) u (+ d) as a list of floats."""
+        return affine_field(u, d)(self.drift(x), self.actuation(x))
 
 
 @dataclass(frozen=True)
@@ -141,55 +142,35 @@ def segway_true(params: SegwayParams) -> ControlAffineSystem:
     The evaluators need no singularity guard: |cos(pitch)| <= 1 and rounding
     is monotone, so det D(q) at any pitch is at least its pitch-0 value, which
     :class:`SegwayParams` holds at 1e-10 or more. They keep no state between
-    calls; ``actuation`` reads only the pitch.
+    calls; ``actuation`` reads only the pitch. Both return tuples of floats.
     """
     p = params
     ml, d11, d22 = p.inertia()
-    neg_mgl = -p.body_mass * p.gravity * p.com_length
+    neg_ml, neg_mgl = -ml, -p.body_mass * p.gravity * p.com_length
     friction = p.viscous_friction
     b1 = p.motor_torque_scale / p.wheel_radius
     b2 = -p.motor_torque_scale
+    # Products of constants, each rounded once as the formulas below would round them per call.
+    d11_d22, d22_b1, d11_b2 = d11 * d22, d22 * b1, d11 * b2
+    sin, cos = math.sin, math.cos
 
-    def drift(x: np.ndarray) -> np.ndarray:
-        _, vel, pitch, rate = x.tolist()
-        sin_t = math.sin(pitch)
-        cos_t = math.cos(pitch)
-        d12 = ml * cos_t
-        det = d11 * d22 - d12 * d12
+    def drift(x: Sequence[float]) -> tuple:
+        _, vel, pitch, rate = x
+        sin_t = sin(pitch)
+        d12 = ml * cos(pitch)
+        det = d11_d22 - d12 * d12
         # rhs = B tau - C qd - G, with viscous friction acting on vel.
-        c1 = -ml * sin_t * rate * rate + friction * vel
+        c1 = neg_ml * sin_t * rate * rate + friction * vel
         g2 = neg_mgl * sin_t
         # Explicit 2x2 inverse: D^-1 = [[d22, -d12], [-d12, d11]] / det.
-        return np.array([vel, (d22 * (-c1) - d12 * (-g2)) / det, rate, (-d12 * (-c1) + d11 * (-g2)) / det])
+        return vel, (d22 * (-c1) - d12 * (-g2)) / det, rate, (-d12 * (-c1) + d11 * (-g2)) / det
 
-    def actuation(x: np.ndarray) -> np.ndarray:
-        d12 = ml * math.cos(float(x[2]))
-        det = d11 * d22 - d12 * d12
-        return np.array([0.0, (d22 * b1 - d12 * b2) / det, 0.0, (-d12 * b1 + d11 * b2) / det]).reshape(4, 1)
+    def actuation(x: Sequence[float]) -> tuple:
+        d12 = ml * cos(x[2])
+        det = d11_d22 - d12 * d12
+        return 0.0, (d22_b1 - d12 * b2) / det, 0.0, (-d12 * b1 + d11_b2) / det
 
     return ControlAffineSystem(4, 1, drift, actuation)
-
-
-@dataclass(frozen=True)
-class DisturbanceSignal:
-    """Additive state disturbance with a declared sup-norm bound.
-
-    ``evaluator(t, x, u)`` returns d in R^n. Every sample drawn during a
-    rollout is checked against ``declared_bound`` (Euclidean norm); exceeding
-    it raises :class:`DisturbanceBoundError`.
-    """
-
-    evaluator: Callable[[float, np.ndarray, np.ndarray], np.ndarray]
-    declared_bound: float
-
-    def __call__(self, t: float, x: np.ndarray, u: np.ndarray) -> np.ndarray:
-        d = np.asarray(self.evaluator(t, x, u), dtype=float)
-        norm = float(np.linalg.norm(d))
-        if norm > self.declared_bound * (1.0 + 1e-12) + 1e-15:
-            raise DisturbanceBoundError(
-                f"disturbance norm {norm} exceeds declared bound {self.declared_bound}"
-            )
-        return d
 
 
 @dataclass(frozen=True)
@@ -219,50 +200,65 @@ class Trajectory:
         write_csv(path, header, ([t, *x, *u] for t, x, u in zip(self.times.tolist(), self.states.tolist(), inputs)))
 
 
-def affine_field(u, d=None) -> Callable[[np.ndarray, np.ndarray], list]:
-    """The map (f, g) -> f + g u (+ d) as a list of floats, bit for bit ``(f + g @ u + d).tolist()``.
+def dot(a: Sequence[float], b: Sequence[float]) -> float:
+    """sum_i a_i b_i as one left-to-right chain from 0.0, ((0.0 + a_0 b_0) + a_1 b_1) + ...: the one sum rule."""
+    total = 0.0
+    for ai, bi in zip(a, b):
+        total += ai * bi
+    return total
 
-    At m = 1 each entry is a single product, computed on Python floats: numpy's
-    g @ u sums from +0.0, and adding 0.0 gives a zero product the same sign.
-    Any wider sum stays numpy's. Built once per step, the map serves every RK stage.
+
+def affine_field(u: Sequence[float], d: Optional[Sequence[float]] = None) -> Callable[[Sequence[float], Sequence[float]], list]:
+    """The map (f, g) -> f + g u (+ d) as a list of floats: entry i is f_i + dot(row i of g, u) (+ d_i).
+
+    The chains of g u advance one input at a time over every row together, as
+    ``FeatureMap`` evaluates a stack: ((0.0 + g_i0 u_0) + g_i1 u_1) + ..., the
+    last step fused with the add of f_i. Built once per step, the map serves
+    every RK stage.
     """
-    u0 = float(u[0]) if len(u) == 1 else None
-    dl = None if d is None else np.asarray(d, dtype=float).tolist()
+    m = len(u)
+    head, u_last = range(m - 1), u[m - 1]
+    dl = None if d is None else [float(v) for v in d]
 
-    def field(f: np.ndarray, g: np.ndarray) -> list:
-        k = (f + g @ u).tolist() if u0 is None else [fi + (0.0 + gi * u0) for fi, (gi,) in zip(f.tolist(), g.tolist())]
-        return k if dl is None else [ki + di for ki, di in zip(k, dl)]
+    def field(f: Sequence[float], g: Sequence[float]) -> list:
+        gu = repeat(0.0)  # every chain starts from 0.0
+        for k in head:
+            uk = u[k]
+            gu = [s + gik * uk for s, gik in zip(gu, g[k::m])]
+        xdot = [fi + (s + gik * u_last) for fi, s, gik in zip(f, gu, g[m - 1::m])]
+        return xdot if dl is None else [ki + di for ki, di in zip(xdot, dl)]
 
     return field
 
 
 def step_rk4(
     system: ControlAffineSystem,
-    x: np.ndarray,
-    u: np.ndarray,
-    d: Optional[np.ndarray],
+    x: Sequence[float],
+    u: Sequence[float],
+    d: Optional[Sequence[float]],
     dt: float,
-) -> np.ndarray:
-    """One classical RK4 step of xdot = f(x) + g(x)u + d, u and d held constant."""
+) -> tuple:
+    """One classical RK4 step of xdot = f(x) + g(x)u + d, u and d held constant, on floats; returns the state as a tuple."""
     if not dt > 0.0:
         raise ValueError("dt must be positive")
     field, drift, actuation = affine_field(u, d), system.drift, system.actuation
     half = 0.5 * dt  # 0.5 * dt * k evaluates as (0.5 * dt) * k
-    xs = x.tolist()
     k1 = field(drift(x), actuation(x))
-    z = np.array([xi + half * ki for xi, ki in zip(xs, k1)])
+    z = [xi + half * ki for xi, ki in zip(x, k1)]
     k2 = field(drift(z), actuation(z))
-    z = np.array([xi + half * ki for xi, ki in zip(xs, k2)])
+    z = [xi + half * ki for xi, ki in zip(x, k2)]
     k3 = field(drift(z), actuation(z))
-    z = np.array([xi + dt * ki for xi, ki in zip(xs, k3)])
+    z = [xi + dt * ki for xi, ki in zip(x, k3)]
     k4 = field(drift(z), actuation(z))
     sixth = dt / 6.0
-    x_next = [xi + sixth * (a + 2.0 * b + 2.0 * c + e) for xi, a, b, c, e in zip(xs, k1, k2, k3, k4)]
-    if not all(map(math.isfinite, x_next)):
-        raise NonFiniteDynamicsError(f"non-finite state after step from {x}")
-    if max(map(abs, x_next)) > BLOWUP_LIMIT:
-        raise NumericalBlowUpError(f"state magnitude exceeded {BLOWUP_LIMIT:g}")
-    return np.array(x_next)
+    x_next = tuple([xi + sixth * (a + 2.0 * b + 2.0 * c + e) for xi, a, b, c, e in zip(x, k1, k2, k3, k4)])
+    # The sum of |x_i| is at least their max (rounding is monotone) and is inf or NaN if any entry is: one screen for both.
+    if not sum(map(abs, x_next)) <= BLOWUP_LIMIT:
+        if not all(map(math.isfinite, x_next)):
+            raise NonFiniteDynamicsError(f"non-finite state after step from {tuple(x)}")
+        if max(map(abs, x_next)) > BLOWUP_LIMIT:
+            raise NumericalBlowUpError(f"state magnitude exceeded {BLOWUP_LIMIT:g}")
+    return x_next
 
 
 def step_count(duration: float, dt: float) -> int:
@@ -278,24 +274,27 @@ def step_count(duration: float, dt: float) -> int:
 
 def simulate(
     system: ControlAffineSystem,
-    controller: Callable[[np.ndarray, float], np.ndarray],
+    controller: Callable[[tuple, float], Sequence[float]],
     x0: Sequence[float],
     duration: float,
     dt: float,
-    disturbance: Optional[DisturbanceSignal] = None,
+    disturbance: Optional[Callable[[float, tuple, Sequence[float]], Sequence[float]]] = None,
 ) -> Trajectory:
     """Fixed-step closed-loop rollout.
 
-    ``controller(x, t)`` returns the input applied over the following step;
-    the recorded inputs are exactly the controller outputs used. Numerical
-    blow-up or non-finite dynamics terminate the rollout early with a reason
-    instead of raising. It runs :func:`step_count` steps.
+    ``controller(x, t)`` gets the state as a tuple of floats and returns the
+    m inputs applied over the following step; the recorded inputs are exactly
+    the controller outputs used. ``disturbance(t, x, u)``, if given, is the
+    additive d held over the step. Numerical blow-up or non-finite dynamics
+    terminate the rollout early with a reason instead of raising. It runs
+    :func:`step_count` steps.
     """
     n_steps = step_count(duration, dt)
 
-    x = np.asarray(x0, dtype=float).copy()
-    if x.shape != (system.state_dim,):
-        raise ValueError(f"x0 has shape {x.shape}, expected {(system.state_dim,)}")
+    x0 = np.asarray(x0, dtype=float)
+    if x0.shape != (system.state_dim,):
+        raise ValueError(f"x0 has shape {x0.shape}, expected {(system.state_dim,)}")
+    x = tuple(x0.tolist())
 
     states = np.empty((n_steps + 1, system.state_dim))
     inputs = np.empty((n_steps, system.input_dim))
@@ -304,7 +303,9 @@ def simulate(
     completed = 0
     for j in range(n_steps):
         t = j * dt
-        u = np.asarray(controller(x, t), dtype=float).reshape(system.input_dim)
+        u = controller(x, t)
+        if len(u) != system.input_dim:
+            raise ValueError(f"the controller returned {len(u)} inputs, expected {system.input_dim}")
         d = disturbance(t, x, u) if disturbance is not None else None
         try:
             x = step_rk4(system, x, u, d, dt)

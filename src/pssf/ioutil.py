@@ -26,14 +26,18 @@ def _cell(value) -> str:
 
 
 def write_csv(path, header, rows) -> None:
-    """Comma-separated, header row, LF line endings, 17-digit floats; rows stream, and a Python float skips ``_cell``."""
+    """Comma-separated, header row, LF line endings, 17-digit floats; rows stream. A row of Python floats is one
+    ``%.17g`` format (no float needs quoting); any other row goes through the csv writer, a float skipping ``_cell``."""
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
     with open(path, "w", newline="\n") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(header)
         for row in rows:
-            writer.writerow([format(v, ".17g") if type(v) is float else _cell(v) for v in row])
+            if all(type(v) is float for v in row):
+                fh.write(",".join(["%.17g"] * len(row)) % tuple(row) + "\n")
+            else:
+                writer.writerow([format(v, ".17g") if type(v) is float else _cell(v) for v in row])
 
 
 def read_csv(path):

@@ -24,7 +24,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Sequence
 
 
 class DomainError(ValueError):
@@ -70,7 +69,7 @@ class Linear(ComparisonFunction):
 
 @dataclass(frozen=True)
 class Power(ComparisonFunction):
-    """r -> c * |r|**p * sign(r) with finite c, p > 0 (odd extension)."""
+    """r -> c * |r|**p * sign(r) with finite c, p > 0 (odd extension); +-inf where that overflows."""
 
     c: float
     p: float
@@ -82,7 +81,14 @@ class Power(ComparisonFunction):
     def _eval(self, r: float) -> float:
         if r == 0.0:
             return 0.0
-        return self.c * abs(r) ** self.p * math.copysign(1.0, r)
+        try:
+            magnitude = self.c * abs(r) ** self.p
+        except OverflowError:  # |r|^p is past the float range; c |r|^p may not be, if c < 1
+            try:
+                magnitude = math.exp(math.log(self.c) + self.p * math.log(abs(r)))
+            except OverflowError:
+                magnitude = math.inf
+        return magnitude * math.copysign(1.0, r)
 
     def inverse(self) -> "Power":
         # y = c |r|^p sign(r)  =>  r = (|y|/c)^(1/p) sign(y)
@@ -102,52 +108,6 @@ class Composition(ComparisonFunction):
     def inverse(self) -> "Composition":
         # (o . i)^-1 = i^-1 . o^-1; raises if either part lacks an inverse.
         return Composition(self.inner.inverse(), self.outer.inverse())
-
-
-@dataclass(frozen=True)
-class MembershipReport:
-    """Outcome of the sampled class-K membership checks.
-
-    ``failure`` names the first failed check ("zero", "monotonicity" or
-    "sign"), or is None when all pass. ``first_violation`` holds the
-    offending grid pair for a monotonicity failure, or (r, value) for a
-    zero/sign failure. Violations are report content, never exceptions.
-    """
-
-    failure: str | None = None
-    first_violation: tuple | None = None
-
-    @property
-    def passed(self) -> bool:
-        return self.failure is None
-
-
-def verify_class_membership(alpha: ComparisonFunction, grid: Sequence[float]) -> MembershipReport:
-    """Check alpha(0) = 0, strict monotonicity, and sign conditions on a grid.
-
-    The grid must be sorted, finite, and contain 0.
-    The checks run in that order and the report names the first that fails.
-    """
-    grid = [float(r) for r in grid]
-    if any(r2 <= r1 for r1, r2 in zip(grid, grid[1:])):
-        raise ValueError("grid must be sorted strictly increasing")
-    if 0.0 not in grid:
-        raise ValueError("grid must contain 0")
-    if not all(math.isfinite(r) for r in grid):
-        raise ValueError("grid must be finite")
-
-    values = [alpha(r) for r in grid]
-
-    at_zero = values[grid.index(0.0)]
-    if at_zero != 0.0:
-        return MembershipReport("zero", (0.0, at_zero))
-    for (r1, v1), (r2, v2) in zip(zip(grid, values), zip(grid[1:], values[1:])):
-        if v2 <= v1:
-            return MembershipReport("monotonicity", (r1, r2))
-    for r, v in zip(grid, values):
-        if (r > 0.0 and v <= 0.0) or (r < 0.0 and v >= 0.0):
-            return MembershipReport("sign", (r, v))
-    return MembershipReport()
 
 
 def _number(value) -> float:

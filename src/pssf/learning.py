@@ -5,6 +5,11 @@ controller, builds finite-difference barrier-derivative targets from the
 recorded (possibly noise-corrupted) states, and refits a ridge regression
 for the correction terms b_hat(x) + a_hat(x)^T u. Data aggregates across
 episodes; the refreshed model feeds back into the filter for the next one.
+
+The filter evaluates phi, b_hat and a_hat on Python floats, one state at a
+time, w_b . phi and W_a phi as left-to-right chains from 0.0
+(:func:`pssf.dynamics.dot`). The ridge fit runs the same operations on the
+columns of a stack of states, so it fits the filter's phi bit for bit.
 """
 
 from __future__ import annotations
@@ -19,7 +24,7 @@ import numpy as np
 
 from .barrier import h_dot
 from .certify import delta_bound
-from .dynamics import BLOWUP_LIMIT, Trajectory, step_count
+from .dynamics import BLOWUP_LIMIT, Trajectory, dot, step_count
 from .ioutil import read_json, rule_block, rule_error, write_csv, write_json
 
 if TYPE_CHECKING:
@@ -77,6 +82,9 @@ class FeatureMap:
     The selected coordinates are normalized to z = (x - center) / scale. A map
     is made with its normalization: :meth:`fit` computes it from states, and
     ``episodic_train`` fits it once, on the first episode it keeps.
+
+    A monomial is a lower monomial times one coordinate, never a ``pow``; each
+    entry of W z is a :func:`pssf.dynamics.dot` chain.
     """
 
     def __init__(self, spec: dict, center, scale):
@@ -90,24 +98,27 @@ class FeatureMap:
                              f"{self.center.shape} and {self.scale.shape} for indices {indices}")
         if not (np.all(np.isfinite(self.center)) and np.all(np.isfinite(self.scale)) and np.all(self.scale > 0.0)):
             raise ValueError("center must be finite and scale finite and positive")
-        self._select = np.array(indices) if indices is not None else None
+        self._select = list(indices) if indices is not None else None
+        self._normalization = list(zip(self._select or range(n_sel), self.center.tolist(), self.scale.tolist()))
         if self.spec["kind"] == POLYNOMIAL:
-            # One row of per-coordinate exponents per monomial, by degree; floats, which pow need not cast per call.
-            self._exponents = np.array([[combo.count(i) for i in range(n_sel)]
-                                        for deg in range(self.spec["max_degree"] + 1)
-                                        for combo in combinations_with_replacement(range(n_sel), deg)], dtype=float)
-            self.dimension = len(self._exponents)
+            # Monomials by degree; each past the constant is (its prefix monomial, its last coordinate).
+            combos = [combo for deg in range(self.spec["max_degree"] + 1)
+                      for combo in combinations_with_replacement(range(n_sel), deg)]
+            position = {combo: k for k, combo in enumerate(combos)}
+            self._factors = [(position[combo[:-1]], combo[-1]) for combo in combos[1:]]
+            self.dimension = len(combos)
         else:
             rng = np.random.default_rng(self.spec["seed"])
             # Past x0 a run keeps no |x_i| above BLOWUP_LIMIT, so there |W z| is at most this bound.
             with np.errstate(over="ignore"):
-                self._weights = rng.normal(size=(self.spec["count"], n_sel)) / self.spec["bandwidth"]
-                bound = n_sel * np.max(np.abs(self._weights), initial=0.0) * np.max(
+                weights = rng.normal(size=(self.spec["count"], n_sel)) / self.spec["bandwidth"]
+                bound = n_sel * np.max(np.abs(weights), initial=0.0) * np.max(
                     (BLOWUP_LIMIT + np.abs(self.center)) / self.scale, initial=0.0)
             if not np.isfinite(bound):
                 raise ValueError(f"bandwidth {self.spec['bandwidth']} is too small: W z, with W = normal / bandwidth, "
                                  f"can overflow on a state within {BLOWUP_LIMIT:g} of 0")
-            self._phases = rng.uniform(0.0, 2.0 * math.pi, size=self.spec["count"])
+            self._waves = list(zip(weights.tolist(), rng.uniform(0.0, 2.0 * math.pi, size=self.spec["count"]).tolist()))
+            self._amplitude = math.sqrt(2.0 / self.spec["count"])
             self.dimension = self.spec["count"]
 
     @classmethod
@@ -119,18 +130,27 @@ class FeatureMap:
         scale = sel.std(axis=0)
         return cls(spec, sel.mean(axis=0), np.where(scale < 1e-12, 1.0, scale))
 
-    def __call__(self, states: np.ndarray) -> np.ndarray:
-        """phi of one state, shape (dimension,), or of each row of a stack, shape (rows, dimension).
+    def __call__(self, states) -> Union[list, np.ndarray]:
+        """phi of one state (a sequence of floats) as a list, or of each row of a 2-D array as a (rows, dimension) array.
 
-        numpy's pow rounds a row's last bit by where it sits in the stack: 868 of the 100 000 entries
-        of the benchmark's first episode differ from the same states evaluated one at a time.
+        A stack runs :meth:`_phi` on columns where a state runs it on floats, so a row equals its state alone bit for bit.
         """
-        states = np.asarray(states, dtype=float)
-        sel = states[..., self._select] if self._select is not None else states
-        z = (sel - self.center) / self.scale
+        if isinstance(states, np.ndarray) and states.ndim == 2:
+            sel = states[:, self._select] if self._select is not None else states
+            z = list(((sel - self.center) / self.scale).T)
+            return self._phi(z, np.empty((self.dimension, len(states))), np.cos).T
+        return self._phi([(states[i] - c) / s for i, c, s in self._normalization], [1.0] * self.dimension, math.cos)
+
+    def _phi(self, z: list, phi, cos):
+        """phi[k] = feature k of z (floats, or a stack's columns): monomials as prefix products, waves by dot chains."""
         if self.spec["kind"] == POLYNOMIAL:
-            return np.multiply.reduce(z[..., None, :] ** self._exponents, axis=-1)
-        return math.sqrt(2.0 / self.spec["count"]) * np.cos(z @ self._weights.T + self._phases)
+            phi[0] = 1.0
+            for k, (prefix, i) in enumerate(self._factors, start=1):
+                phi[k] = phi[prefix] * z[i]
+            return phi
+        for k, (w, phase) in enumerate(self._waves):
+            phi[k] = self._amplitude * cos(dot(w, z) + phase)
+        return phi
 
     def to_config(self) -> dict:
         indices = self.spec["indices"]
@@ -190,7 +210,7 @@ def collect_episode(scn: "Scenario", traj: Trajectory, noise_std: Union[None, fl
         measured = traj.states + rng.normal(size=traj.states.shape) * std
 
     n_rows = len(traj.inputs)
-    h_meas = np.array([bar.h(y) for y in measured])
+    h_meas = [bar.h(y.tolist()) for y in measured]
     targets = np.empty(n_rows)
     exact = np.empty(n_rows)
     for j in range(n_rows):
@@ -198,8 +218,9 @@ def collect_episode(scn: "Scenario", traj: Trajectory, noise_std: Union[None, fl
             measured_rate = (h_meas[1] - h_meas[0]) / dt
         else:
             measured_rate = (h_meas[j + 1] - h_meas[j - 1]) / (2.0 * dt)
-        targets[j] = measured_rate - h_dot(bar, scn.nominal_system, traj.states[j], traj.inputs[j])
-        exact[j] = h_dot(bar, scn.true_system, traj.states[j], traj.inputs[j])
+        x, u = traj.states[j].tolist(), traj.inputs[j].tolist()
+        targets[j] = measured_rate - h_dot(bar, scn.nominal_system, x, u)
+        exact[j] = h_dot(bar, scn.true_system, x, u)
 
     return Dataset(traj.states[:n_rows].copy(), traj.inputs.copy(), targets, hdot_exact=exact)
 
@@ -209,6 +230,7 @@ class ResidualModel:
     """Ridge-regressed estimators b_hat(x) = w_b . phi(x), a_hat(x) = W_a phi(x).
 
     The prediction b_hat(x) + a_hat(x)^T u is affine in u by construction.
+    :meth:`terms` reads the weights as they were at construction.
     """
 
     features: FeatureMap
@@ -225,14 +247,17 @@ class ResidualModel:
                              f"got {np.shape(self.w_b)} and {np.shape(self.W_a)}")
         if not (np.all(np.isfinite(self.w_b)) and np.all(np.isfinite(self.W_a))):
             raise ValueError("weights must be finite")
+        self._rows = [np.asarray(self.w_b, dtype=float).tolist(), *np.asarray(self.W_a, dtype=float).tolist()]
 
-    def terms(self, x: np.ndarray) -> tuple[float, np.ndarray]:
+    def terms(self, x: Sequence[float]) -> tuple[float, list]:
+        """(w_b . phi(x), W_a phi(x)) on floats, each entry a :func:`pssf.dynamics.dot` chain."""
         phi = self.features(x)
-        return float(self.w_b.dot(phi)), self.W_a.dot(phi)
+        b_hat, *a_hat = [dot(row, phi) for row in self._rows]
+        return b_hat, a_hat
 
-    def predict(self, x: np.ndarray, u: np.ndarray) -> float:
+    def predict(self, x: Sequence[float], u: Sequence[float]) -> float:
         b_hat, a_hat = self.terms(x)
-        return b_hat + float(a_hat @ np.asarray(u, dtype=float))
+        return b_hat + dot(a_hat, u)
 
     def save(self, path) -> None:
         write_json(path, {
@@ -260,14 +285,12 @@ def fit_residual(data: Dataset, features: FeatureMap, ridge_lambda: float) -> Re
     """Ridge regression of the stacked system in (w_b, vec(W_a)) on the given feature map.
 
     Minimizes sum_j (target_j - w_b.phi_j - (W_a phi_j).u_j)^2 + lambda (||w_b||^2 + ||W_a||^2)
-    via least squares on the regularized stack [phi, phi u_1, ..., phi u_m; sqrt(lambda) I], one
-    (rows + p, p) array filled in place. It keeps phi's memory order (Fortran for a map with indices),
-    the order a concatenated design had, so the training rms from its first rows sums each row as
-    that design did; a C-ordered stack under a Fortran phi moves the rms by an ulp. The map is used
-    as given, with the normalization it was made with. The stack's Gram matrix is the regularized
-    Gram matrix, so its condition number is the squared ratio of the stack's extreme singular
-    values, which the least-squares solve already returns. An estimate above 1e12 flags the model
-    as ill conditioned (the solution is still returned).
+    via least squares on the regularized stack [phi, phi u_1, ..., phi u_m; sqrt(lambda) I], one (rows + p, p)
+    array filled in place in phi's memory order (Fortran for a stack), so the training rms sums each row as a
+    concatenated design does. The map is used as given, with the normalization it was made with. The stack's
+    Gram matrix is the regularized Gram matrix, so its condition number is the squared ratio of the stack's
+    extreme singular values, which the least-squares solve already returns. An estimate above 1e12 flags the
+    model as ill conditioned (the solution is still returned).
     """
     if len(data) == 0:
         raise ValueError("dataset is empty")
@@ -319,14 +342,14 @@ class EpisodeHistory:
 
 
 def excite(
-    desired: Callable[[np.ndarray, float], np.ndarray],
+    desired: Callable[[Sequence[float], float], Sequence[float]],
     amplitude: float,
     hold_steps: int,
     dt: float,
     duration: float,
     input_dim: int,
     rng: np.random.Generator,
-) -> Callable[[np.ndarray, float], np.ndarray]:
+) -> Callable[[Sequence[float], float], tuple]:
     """desired(x, t) plus a seeded zero-mean piecewise-constant excitation.
 
     One uniform draw in [-amplitude, amplitude]^input_dim per block of
@@ -334,12 +357,12 @@ def excite(
     times keep the last block.
     """
     n_steps = step_count(duration, dt)
-    values = rng.uniform(-amplitude, amplitude, size=(-(-n_steps // hold_steps), input_dim))
+    values = rng.uniform(-amplitude, amplitude, size=(-(-n_steps // hold_steps), input_dim)).tolist()
     last = len(values) - 1
 
-    def controller(x: np.ndarray, t: float) -> np.ndarray:
+    def controller(x: Sequence[float], t: float) -> tuple:
         block = int(round(t / dt)) // hold_steps
-        return np.asarray(desired(x, t), dtype=float) + values[min(block, last)]
+        return tuple([ui + vi for ui, vi in zip(desired(x, t), values[min(block, last)])])
 
     return controller
 

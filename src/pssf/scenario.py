@@ -35,12 +35,12 @@ def ellipse_pitch_barrier(pitch_max: float, rate_max: float, alpha) -> BarrierFu
     inv_r2 = 1.0 / (rate_max * rate_max)
 
     def h(x):
-        _, _, pitch, rate = x.tolist()
+        _, _, pitch, rate = x
         return 1.0 - pitch * pitch * inv_p2 - rate * rate * inv_r2
 
     def grad_h(x):
-        _, _, pitch, rate = x.tolist()
-        return np.array([0.0, 0.0, -2.0 * pitch * inv_p2, -2.0 * rate * inv_r2])
+        _, _, pitch, rate = x
+        return 0.0, 0.0, -2.0 * pitch * inv_p2, -2.0 * rate * inv_r2
 
     return BarrierFunction(h=h, grad_h=grad_h, alpha=alpha)
 
@@ -57,8 +57,8 @@ def pd_pitch_controller(kp: float, kd: float, amplitude: float, frequency: float
     def controller(x, t):
         ref = amplitude * math.sin(omega * t)
         ref_rate = amplitude * omega * math.cos(omega * t)
-        _, _, pitch, rate = x.tolist()
-        return np.array([kp * (pitch - ref) + kd * (rate - ref_rate)])
+        _, _, pitch, rate = x
+        return (kp * (pitch - ref) + kd * (rate - ref_rate),)
 
     return controller
 
@@ -136,7 +136,7 @@ def model_error_drift_sup(scn: Scenario, samples: int = 1000) -> float:
     lows = np.array([-1.0, -2.0, -scn.cfg["barrier"]["pitch_max"], -scn.cfg["barrier"]["pitch_rate_max"]])
     states = rng.uniform(lows, -lows, size=(samples, 4))
     f, f_hat = np.empty_like(states), np.empty_like(states)
-    for j, x in enumerate(states):
+    for j, x in enumerate(states.tolist()):
         f[j], f_hat[j] = scn.true_system.drift(x), scn.nominal_system.drift(x)
     err = np.subtract(f, f_hat, out=f)
     return float(np.fmax.reduce(np.sqrt(np.matmul(err[:, None, :], err[:, :, None])), axis=None, initial=0.0))

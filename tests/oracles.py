@@ -5,10 +5,14 @@ library of the PSSf argument (barrier, filter, projection, certificate,
 learning). The helpers here judge that code instead of being part of it:
 finite-difference checks of analytic derivatives, an energy oracle for the
 Segway, the Segway evaluators' earlier memoizing form, the per-sample
-functions, the CSV writer and the sampled drift-error sup in their earlier
-numpy form, a sampled Lipschitz ratio, an alternative floor to compare
-against ``transport_inflation``, a comparison function that may break the
-class-K rules, and a planar-disk demo with a nontrivial projection.
+functions and the feature map written out plainly in the package's
+arithmetic (Python floats, each sum of products a left-to-right chain from
+0.0, each monomial a product in a fixed order), the CSV writer and the
+sampled drift-error sup in their earlier numpy form, a sampled Lipschitz
+ratio, an alternative floor to compare against ``transport_inflation``, a
+comparison function that may break the class-K rules with a sampled check of
+those rules, and a planar-disk demo with a nontrivial projection and a
+bounded disturbance that checks its own samples.
 Keeping them beside the tests gives every name one import path and keeps
 ``src/`` free of code that no run calls.
 """
@@ -18,6 +22,7 @@ from __future__ import annotations
 import csv
 import math
 from dataclasses import dataclass
+from itertools import combinations_with_replacement
 from pathlib import Path
 from typing import Callable, Optional, Sequence
 
@@ -26,8 +31,7 @@ import numpy as np
 from pssf import kfun
 from pssf.barrier import BarrierFunction, FilterResult, HdotResidual
 from pssf.certify import CompatiblePair, Projection
-from pssf.dynamics import (BLOWUP_LIMIT, ControlAffineSystem, DisturbanceSignal, NonFiniteDynamicsError,
-                           NumericalBlowUpError, SegwayParams)
+from pssf.dynamics import BLOWUP_LIMIT, ControlAffineSystem, NonFiniteDynamicsError, NumericalBlowUpError, SegwayParams
 from pssf.kfun import ComparisonFunction
 from pssf.learning import POLYNOMIAL, Dataset, FeatureMap
 
@@ -98,15 +102,47 @@ class Interpolated(ComparisonFunction):
         return float(np.interp(r, self.rs, self.values))
 
 
-def feature_map_reference(features: FeatureMap, states: np.ndarray) -> np.ndarray:
-    """``FeatureMap.__call__`` as first written: the selection as a list, integer exponents, the monomials by ``np.prod``."""
-    states = np.asarray(states, dtype=float)
-    indices = features.spec["indices"]
-    sel = states[..., list(indices)] if indices is not None else states
-    z = (sel - features.center) / features.scale
-    if features.spec["kind"] == POLYNOMIAL:
-        return np.prod(z[..., None, :] ** features._exponents.astype(int), axis=-1)
-    return math.sqrt(2.0 / features.spec["count"]) * np.cos(z @ features._weights.T + features._phases)
+def chain_reference(a: Sequence[float], b: Sequence[float]) -> float:
+    """sum_i a_i b_i as ((0.0 + a_0 b_0) + a_1 b_1) + ..., the package's one sum rule, written out."""
+    total = 0.0
+    for i in range(len(a)):
+        total = total + a[i] * b[i]
+    return total
+
+
+def feature_map_reference(features: FeatureMap, states) -> list:
+    """``FeatureMap.__call__`` written out on floats, per state: the map's spec, seed and normalization, nothing private.
+
+    A monomial is 1.0 times its coordinates in ``combinations_with_replacement`` order, and the
+    random_fourier weights and phases are drawn again from the seed. A 2-D array gives a list of rows.
+    """
+    spec = features.spec
+    center, scale = features.center.tolist(), features.scale.tolist()
+    if spec["kind"] == POLYNOMIAL:
+        combos = [combo for degree in range(spec["max_degree"] + 1)
+                  for combo in combinations_with_replacement(range(len(center)), degree)]
+    else:
+        rng = np.random.default_rng(spec["seed"])
+        weights = (rng.normal(size=(spec["count"], len(center))) / spec["bandwidth"]).tolist()
+        phases = rng.uniform(0.0, 2.0 * math.pi, size=spec["count"]).tolist()
+
+    def one(x) -> list:
+        x = [float(v) for v in x]
+        sel = x if spec["indices"] is None else [x[i] for i in spec["indices"]]
+        z = [(v - c) / s for v, c, s in zip(sel, center, scale)]
+        if spec["kind"] != POLYNOMIAL:
+            return [math.sqrt(2.0 / spec["count"]) * math.cos(chain_reference(w, z) + b) for w, b in zip(weights, phases)]
+        phi = []
+        for combo in combos:
+            product = 1.0
+            for i in combo:
+                product = product * z[i]
+            phi.append(product)
+        return phi
+
+    if isinstance(states, np.ndarray) and states.ndim == 2:
+        return [one(x) for x in states.tolist()]
+    return one(states)
 
 
 def fit_residual_reference(data: Dataset, features: FeatureMap,
@@ -127,103 +163,94 @@ def fit_residual_reference(data: Dataset, features: FeatureMap,
     return w[:dim], w[dim:].reshape(m, dim), rms, float((sv[0] / sv[-1]) ** 2) > 1e12
 
 
-# The per-sample functions as they were before their Python-float fast paths, copied unchanged
-# (ControlAffineSystem.field_at as a function). The current ones must match them bit for bit.
+# The per-sample functions written out in the package's arithmetic: x, u, d, f(x), the row-major
+# g(x), grad_h(x) and a_hat(x) are sequences of floats, and every sum of products is
+# chain_reference. The package's functions must match them bit for bit, signed zeros included.
+
+def field_at_reference(sys: ControlAffineSystem, x: Sequence[float], u: Sequence[float],
+                       d: Optional[Sequence[float]] = None) -> list:
+    """xdot_i = f_i + chain(row i of g, u), then + d_i."""
+    f, g, m = sys.drift(x), sys.actuation(x), sys.input_dim
+    xdot = [f[i] + chain_reference([g[i * m + k] for k in range(m)], u) for i in range(sys.state_dim)]
+    if d is not None:
+        xdot = [xdot[i] + float(d[i]) for i in range(sys.state_dim)]
+    return xdot
+
 
 def step_rk4_reference(
     system: ControlAffineSystem,
-    x: np.ndarray,
-    u: np.ndarray,
-    d: Optional[np.ndarray],
+    x: Sequence[float],
+    u: Sequence[float],
+    d: Optional[Sequence[float]],
     dt: float,
-) -> np.ndarray:
+) -> tuple:
     """One classical RK4 step of xdot = f(x) + g(x)u + d, u and d held constant."""
     if not dt > 0.0:
         raise ValueError("dt must be positive")
-    dl = None if d is None else d.tolist()
-    if system.input_dim == 1:
-        u0 = float(u[0])
-
-    def field(z: np.ndarray) -> list:
-        f, g = system.drift(z), system.actuation(z)
-        if system.input_dim == 1:
-            # numpy's g @ u sums from +0.0; adding 0.0 gives a zero product the same sign.
-            k = [fi + (0.0 + gi * u0) for fi, (gi,) in zip(f.tolist(), g.tolist())]
-        else:
-            k = (f + g @ u).tolist()
-        return k if dl is None else [ki + di for ki, di in zip(k, dl)]
-
-    xs = x.tolist()
-    k1 = field(x)
-    k2 = field(np.array([xi + 0.5 * dt * ki for xi, ki in zip(xs, k1)]))
-    k3 = field(np.array([xi + 0.5 * dt * ki for xi, ki in zip(xs, k2)]))
-    k4 = field(np.array([xi + dt * ki for xi, ki in zip(xs, k3)]))
-    x_next = [xi + (dt / 6.0) * (a + 2.0 * b + 2.0 * c + e) for xi, a, b, c, e in zip(xs, k1, k2, k3, k4)]
+    x = [float(v) for v in x]
+    k1 = field_at_reference(system, x, u, d)
+    k2 = field_at_reference(system, [xi + 0.5 * dt * ki for xi, ki in zip(x, k1)], u, d)
+    k3 = field_at_reference(system, [xi + 0.5 * dt * ki for xi, ki in zip(x, k2)], u, d)
+    k4 = field_at_reference(system, [xi + dt * ki for xi, ki in zip(x, k3)], u, d)
+    x_next = [xi + (dt / 6.0) * (a + 2.0 * b + 2.0 * c + e) for xi, a, b, c, e in zip(x, k1, k2, k3, k4)]
     if not all(map(math.isfinite, x_next)):
         raise NonFiniteDynamicsError(f"non-finite state after step from {x}")
     if max(map(abs, x_next)) > BLOWUP_LIMIT:
         raise NumericalBlowUpError(f"state magnitude exceeded {BLOWUP_LIMIT:g}")
-    return np.array(x_next)
+    return tuple(x_next)
 
 
-def field_at_reference(sys: ControlAffineSystem, x: np.ndarray, u: np.ndarray, d: Optional[np.ndarray] = None) -> np.ndarray:
-    """xdot = f(x) + g(x) u (+ d)."""
-    xdot = sys.drift(x) + sys.actuation(x) @ u
-    if d is not None:
-        xdot = xdot + d
-    return xdot
-
-
-def h_dot_reference(bar: BarrierFunction, sys: ControlAffineSystem, x: np.ndarray, u: np.ndarray) -> float:
-    """hdot(x, u) = dh/dx(x) . (f(x) + g(x) u)."""
-    return float(bar.grad_h(x) @ field_at_reference(sys, x, u))
+def h_dot_reference(bar: BarrierFunction, sys: ControlAffineSystem, x: Sequence[float], u: Sequence[float]) -> float:
+    """hdot(x, u) = chain(dh/dx(x), f(x) + g(x) u)."""
+    return chain_reference(bar.grad_h(x), field_at_reference(sys, x, u))
 
 
 def safety_filter_reference(
     bar: BarrierFunction,
     model: ControlAffineSystem,
-    u_des: np.ndarray,
-    x: np.ndarray,
+    u_des: Sequence[float],
+    x: Sequence[float],
     residual: Optional[HdotResidual] = None,
 ) -> FilterResult:
     """Min-norm modification of u_des enforcing the model barrier condition."""
-    u_des = np.asarray(u_des, dtype=float).reshape(model.input_dim)
-    grad = bar.grad_h(x)
-    a = grad @ model.actuation(x)
-    b = -bar.alpha(bar.h(x)) - float(grad @ model.drift(x))
+    n, m = model.state_dim, model.input_dim
+    grad, g = bar.grad_h(x), model.actuation(x)
+    a = [chain_reference(grad, [g[i * m + k] for i in range(n)]) for k in range(m)]
+    b = -bar.alpha(bar.h(x)) - chain_reference(grad, model.drift(x))
     if residual is not None:
         b_hat, a_hat = residual.terms(x)
-        a = a + a_hat
+        a = [a[k] + a_hat[k] for k in range(m)]
         b = b - b_hat
 
-    slack = float(a @ u_des) - b
+    slack = chain_reference(a, u_des) - b
     if slack >= 0.0:
         return FilterResult(u=u_des, constraint_margin=slack, modified=False, infeasible=False)
 
-    a_sq = float(a @ a)
+    a_sq = chain_reference(a, a)
     if a_sq <= 1e-10 ** 2:
         return FilterResult(u=u_des, constraint_margin=slack, modified=False, infeasible=True)
 
-    u = u_des + (-slack / a_sq) * a
-    return FilterResult(u=u, constraint_margin=float(a @ u) - b, modified=True, infeasible=False)
+    u = tuple(u_des[k] + (-slack / a_sq) * a[k] for k in range(m))
+    return FilterResult(u=u, constraint_margin=chain_reference(a, u) - b, modified=True, infeasible=False)
 
 
 def projected_disturbance_reference(
     bar: BarrierFunction,
     true_sys: ControlAffineSystem,
     nominal_sys: ControlAffineSystem,
-    x: np.ndarray,
-    u: np.ndarray,
+    x: Sequence[float],
+    u: Sequence[float],
     residual: Optional[HdotResidual] = None,
 ) -> float:
     """delta = grad_h(x) . [(f - f_hat)(x) + (g - g_hat)(x) u] - [b_hat(x) + a_hat(x) . u]."""
-    grad = bar.grad_h(x)
-    df = true_sys.drift(x) - nominal_sys.drift(x)
-    dg = true_sys.actuation(x) - nominal_sys.actuation(x)
-    delta = float(grad @ (df + dg @ u))
+    n, m = true_sys.state_dim, true_sys.input_dim
+    f, f_hat, g, g_hat = true_sys.drift(x), nominal_sys.drift(x), true_sys.actuation(x), nominal_sys.actuation(x)
+    field = [(f[i] - f_hat[i]) + chain_reference([g[i * m + k] - g_hat[i * m + k] for k in range(m)], u)
+             for i in range(n)]
+    delta = chain_reference(bar.grad_h(x), field)
     if residual is not None:
         b_hat, a_hat = residual.terms(x)
-        delta -= b_hat + float(np.asarray(a_hat) @ u)
+        delta -= b_hat + chain_reference(a_hat, u)
     return delta
 
 
@@ -262,6 +289,78 @@ def write_csv_reference(path, header, rows) -> None:
             writer.writerow([_cell_reference(v) for v in row])
 
 
+class DisturbanceBoundError(RuntimeError):
+    """A disturbance sample exceeded its declared sup-norm bound."""
+
+
+@dataclass(frozen=True)
+class DisturbanceSignal:
+    """Additive state disturbance with a declared sup-norm bound.
+
+    ``evaluator(t, x, u)`` returns d in R^n. Every sample drawn during a
+    rollout is checked against ``declared_bound`` (Euclidean norm); exceeding
+    it raises :class:`DisturbanceBoundError`.
+    """
+
+    evaluator: Callable[[float, Sequence[float], Sequence[float]], Sequence[float]]
+    declared_bound: float
+
+    def __call__(self, t: float, x: Sequence[float], u: Sequence[float]) -> np.ndarray:
+        d = np.asarray(self.evaluator(t, x, u), dtype=float)
+        norm = float(np.linalg.norm(d))
+        if norm > self.declared_bound * (1.0 + 1e-12) + 1e-15:
+            raise DisturbanceBoundError(
+                f"disturbance norm {norm} exceeds declared bound {self.declared_bound}"
+            )
+        return d
+
+
+@dataclass(frozen=True)
+class MembershipReport:
+    """Outcome of the sampled class-K membership checks.
+
+    ``failure`` names the first failed check ("zero", "monotonicity" or
+    "sign"), or is None when all pass. ``first_violation`` holds the
+    offending grid pair for a monotonicity failure, or (r, value) for a
+    zero/sign failure. Violations are report content, never exceptions.
+    """
+
+    failure: str | None = None
+    first_violation: tuple | None = None
+
+    @property
+    def passed(self) -> bool:
+        return self.failure is None
+
+
+def verify_class_membership(alpha: ComparisonFunction, grid: Sequence[float]) -> MembershipReport:
+    """Check alpha(0) = 0, strict monotonicity, and sign conditions on a grid.
+
+    The grid must be sorted, finite, and contain 0.
+    The checks run in that order and the report names the first that fails.
+    """
+    grid = [float(r) for r in grid]
+    if any(r2 <= r1 for r1, r2 in zip(grid, grid[1:])):
+        raise ValueError("grid must be sorted strictly increasing")
+    if 0.0 not in grid:
+        raise ValueError("grid must contain 0")
+    if not all(math.isfinite(r) for r in grid):
+        raise ValueError("grid must be finite")
+
+    values = [alpha(r) for r in grid]
+
+    at_zero = values[grid.index(0.0)]
+    if at_zero != 0.0:
+        return MembershipReport("zero", (0.0, at_zero))
+    for (r1, v1), (r2, v2) in zip(zip(grid, values), zip(grid[1:], values[1:])):
+        if v2 <= v1:
+            return MembershipReport("monotonicity", (r1, r2))
+    for r, v in zip(grid, values):
+        if (r > 0.0 and v <= 0.0) or (r < 0.0 and v >= 0.0):
+            return MembershipReport("sign", (r, v))
+    return MembershipReport()
+
+
 def lipschitz_probe(fn: Callable[[np.ndarray], np.ndarray], samples: Sequence[np.ndarray]) -> float:
     """Max finite-difference ratio ||fn(a)-fn(b)|| / ||a-b|| over sample pairs.
 
@@ -298,7 +397,8 @@ def segway_reference(params: SegwayParams) -> ControlAffineSystem:
 
     ``drift`` and ``actuation`` share one mass-matrix evaluation per state:
     the last one is kept, keyed on the bytes of x (values, signs of zero
-    included), never on the array's identity.
+    included), never on the sequence's identity. Both return tuples of
+    floats, ``actuation`` row-major (one entry per state).
     """
     p = params
     ml = p.body_mass * p.com_length
@@ -338,13 +438,13 @@ def segway_reference(params: SegwayParams) -> ControlAffineSystem:
         last = (key, out)
         return out
 
-    def drift(x: np.ndarray) -> np.ndarray:
+    def drift(x) -> tuple:
         vel, f1, rate, f2, _, _ = accelerations(x)
-        return np.array([vel, f1, rate, f2])
+        return vel, f1, rate, f2
 
-    def actuation(x: np.ndarray) -> np.ndarray:
+    def actuation(x) -> tuple:
         _, _, _, _, g1, g2 = accelerations(x)
-        return np.array([[0.0], [g1], [0.0], [g2]])
+        return 0.0, g1, 0.0, g2
 
     return ControlAffineSystem(4, 1, drift, actuation)
 
@@ -373,21 +473,26 @@ class PlanarDiskDemo:
 
 def planar_disk_demo(k: float = 1.0, dist_bound: float = 0.25,
                      pulse_frequency: float = 1.0, push: float = 0.5) -> PlanarDiskDemo:
+    """The demo on the package's float contract: its evaluators take a sequence of two floats.
+
+    f = 0, g = I (row-major), h = 1 - chain(x, x); the projection and the
+    disturbance also take arrays, which the certificate checks pass them.
+    """
     system = ControlAffineSystem(
         state_dim=2,
         input_dim=2,
-        drift=lambda x: np.zeros(2),
-        actuation=lambda x: np.eye(2),
+        drift=lambda x: (0.0, 0.0),
+        actuation=lambda x: (1.0, 0.0, 0.0, 1.0),
     )
     alpha = kfun.Linear(k)
     bar = BarrierFunction(
-        h=lambda x: 1.0 - float(x @ x),
-        grad_h=lambda x: -2.0 * x,
+        h=lambda x: 1.0 - chain_reference(x, x),
+        grad_h=lambda x: (-2.0 * x[0], -2.0 * x[1]),
         alpha=alpha,
     )
     projection = Projection(
-        map=lambda x: np.array([float(x @ x)]),
-        jacobian=lambda x: 2.0 * x.reshape(1, 2),
+        map=lambda x: np.array([chain_reference(x, x)]),
+        jacobian=lambda x: 2.0 * np.asarray(x, dtype=float).reshape(1, 2),
     )
 
     def h_proj(y):
@@ -404,19 +509,19 @@ def planar_disk_demo(k: float = 1.0, dist_bound: float = 0.25,
     omega = 2.0 * math.pi * pulse_frequency
 
     def pulsed_outward(t, x, u):
-        r = float(np.linalg.norm(x))
+        r = math.hypot(x[0], x[1])
         if r < 1e-9:
-            return np.zeros(2)
-        magnitude = dist_bound * (0.7 + 0.3 * math.sin(omega * t))
-        return (magnitude / r) * x
+            return (0.0, 0.0)
+        scale = dist_bound * (0.7 + 0.3 * math.sin(omega * t)) / r
+        return (scale * x[0], scale * x[1])
 
     disturbance = DisturbanceSignal(evaluator=pulsed_outward, declared_bound=dist_bound)
 
     def desired(x, t):
-        r = float(np.linalg.norm(x))
+        r = math.hypot(x[0], x[1])
         if r < 1e-9:
-            return np.zeros(2)
-        return (push / r) * x
+            return (0.0, 0.0)
+        return ((push / r) * x[0], (push / r) * x[1])
 
     return PlanarDiskDemo(
         system=system,

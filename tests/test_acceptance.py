@@ -28,11 +28,11 @@ from pssf.certify import (
     verify_certificate,
 )
 from pssf.dynamics import ControlAffineSystem, simulate
-from pssf.kfun import Linear, Power, verify_class_membership
+from pssf.kfun import Linear, Power
 from pssf.learning import Dataset, FeatureMap, ResidualModel, episodic_train, fit_residual
 from pssf.scenario import build_scenario, learn_artifacts, simulate_artifacts
 
-from oracles import Interpolated, planar_disk_demo
+from oracles import Interpolated, planar_disk_demo, verify_class_membership
 
 
 def report(criterion: str, detail: str) -> None:
@@ -164,7 +164,7 @@ class TestCriterion04FilterOracle:
             A = rng.normal(size=(n, n))
             c = rng.normal(size=n)
             G = rng.normal(size=(n, m))
-            sys = ControlAffineSystem(n, m, lambda x, A=A, c=c: A @ x + c, lambda x, G=G: G)
+            sys = ControlAffineSystem(n, m, lambda x, A=A, c=c: A @ x + c, lambda x, G=G: G.ravel())
             Q = rng.normal(size=(n, n))
             Q = Q.T @ Q + 0.1 * np.eye(n)
             bar = BarrierFunction(
@@ -179,7 +179,7 @@ class TestCriterion04FilterOracle:
                 continue
             assert cbf_margin(bar, sys, x, result.u) >= -1e-9
             grad = bar.grad_h(x)
-            a = grad @ sys.actuation(x)
+            a = grad @ np.reshape(sys.actuation(x), (n, m))
             b = -bar.alpha(bar.h(x)) - float(grad @ sys.drift(x))
             worst = max(worst, float(np.linalg.norm(result.u - self._qp_oracle(a, b, u_des))))
             checked += 1
@@ -198,7 +198,7 @@ class TestCriterion05IssfOracle:
             A = rng.normal(size=(n, n))
             c = rng.normal(size=n)
             G = rng.normal(size=(n, 2))
-            sys = ControlAffineSystem(n, 2, lambda x, A=A, c=c: A @ x + c, lambda x, G=G: G)
+            sys = ControlAffineSystem(n, 2, lambda x, A=A, c=c: A @ x + c, lambda x, G=G: G.ravel())
             Q = rng.normal(size=(n, n))
             Q = Q.T @ Q + 0.1 * np.eye(n)
             bar = BarrierFunction(
@@ -308,7 +308,7 @@ class TestCriterion08IdentityReduction:
         traj, _ = scn.rollout()
 
         proj = Projection(map=lambda x: np.array([scn.barrier.h(x)]),
-                          jacobian=lambda x: scn.barrier.grad_h(x).reshape(1, -1))
+                          jacobian=lambda x: np.reshape(scn.barrier.grad_h(x), (1, -1)))
         pair = CompatiblePair(
             barrier=scn.barrier,
             h_proj=lambda y: float(np.atleast_1d(y)[0]),

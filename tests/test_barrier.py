@@ -20,7 +20,7 @@ from oracles import check_gradient
 
 def scalar_system():
     """xdot = u on R."""
-    return ControlAffineSystem(1, 1, lambda x: np.zeros(1), lambda x: np.eye(1))
+    return ControlAffineSystem(1, 1, lambda x: np.zeros(1), lambda x: (1.0,))
 
 
 def scalar_barrier(k=1.0):
@@ -33,12 +33,12 @@ def scalar_barrier(k=1.0):
 
 
 def random_instance(rng, m):
-    """Random affine system, quadratic barrier, state, and input."""
+    """Random affine system (g row-major, as the float contract has it), quadratic barrier, state, and input."""
     n = rng.integers(2, 5)
     A = rng.normal(size=(n, n))
     c = rng.normal(size=n)
     G = rng.normal(size=(n, m))
-    sys = ControlAffineSystem(n, m, lambda x, A=A, c=c: A @ x + c, lambda x, G=G: G)
+    sys = ControlAffineSystem(n, m, lambda x, A=A, c=c: A @ x + c, lambda x, G=G: G.ravel())
     Q = rng.normal(size=(n, n))
     Q = Q.T @ Q + 0.1 * np.eye(n)
     bar = BarrierFunction(
@@ -65,7 +65,7 @@ def qp_oracle(a, b, u_des):
 
 
 def filter_coefficients(bar, sys, x):
-    a = bar.grad_h(x) @ sys.actuation(x)
+    a = bar.grad_h(x) @ np.reshape(sys.actuation(x), (sys.state_dim, sys.input_dim))
     b = -bar.alpha(bar.h(x)) - float(bar.grad_h(x) @ sys.drift(x))
     return a, b
 
@@ -75,7 +75,7 @@ class TestHdot:
         sys = scalar_system()
         bar = scalar_barrier()
         # f == 0 here, so u = 0 cancels trivially; use a drifting variant
-        drifting = ControlAffineSystem(1, 1, lambda x: np.array([0.7]), lambda x: np.eye(1))
+        drifting = ControlAffineSystem(1, 1, lambda x: np.array([0.7]), lambda x: (1.0,))
         x = np.array([0.4])
         assert h_dot(bar, drifting, x, np.array([-0.7])) == pytest.approx(0.0, abs=1e-15)
 
@@ -86,7 +86,7 @@ class TestHdot:
         rng = np.random.default_rng(5)
         for _ in range(20):
             sys, bar, x, u = random_instance(rng, 2)
-            xdot = sys.field_at(x, u)
+            xdot = np.array(sys.field_at(x, u))
             eps = 1e-6
             numeric = (bar.h(x + eps * xdot) - bar.h(x - eps * xdot)) / (2.0 * eps)
             assert h_dot(bar, sys, x, u) == pytest.approx(numeric, rel=1e-6, abs=1e-8)
@@ -188,7 +188,7 @@ class TestSafetyFilter:
 
     def test_halfspace_projection_hand_case(self):
         # a = [1], b = 1, u_des = 0 -> u = 1 with zero margin
-        sys = ControlAffineSystem(1, 1, lambda x: np.array([-1.0]), lambda x: np.eye(1))
+        sys = ControlAffineSystem(1, 1, lambda x: np.array([-1.0]), lambda x: (1.0,))
         bar = BarrierFunction(h=lambda x: float(x[0]), grad_h=lambda x: np.array([1.0]), alpha=Linear(1.0))
         x = np.array([0.0])
         a, b = filter_coefficients(bar, sys, x)
@@ -229,7 +229,7 @@ class TestSafetyFilter:
             assert np.linalg.norm(result.u - u_des) <= best + 1e-9
 
     def test_infeasible_flag_on_degenerate_row(self):
-        sys = ControlAffineSystem(1, 1, lambda x: np.array([-1.0]), lambda x: np.zeros((1, 1)))
+        sys = ControlAffineSystem(1, 1, lambda x: np.array([-1.0]), lambda x: (0.0,))
         bar = BarrierFunction(h=lambda x: float(x[0]), grad_h=lambda x: np.array([1.0]), alpha=Linear(1.0))
         result = safety_filter(bar, sys, np.zeros(1), np.array([0.0]))
         assert result.infeasible
@@ -258,7 +258,7 @@ class TestSafetyFilter:
             dx *= 1e-5 / np.linalg.norm(dx)
             u1 = safety_filter(scn.barrier, scn.nominal_system, np.array([5.0]), x).u
             u2 = safety_filter(scn.barrier, scn.nominal_system, np.array([5.0]), x + dx).u
-            worst = max(worst, float(np.linalg.norm(u1 - u2)) / 1e-5)
+            worst = max(worst, float(np.linalg.norm(np.subtract(u1, u2))) / 1e-5)
         assert worst < 1e5
 
 

@@ -27,7 +27,7 @@ def random_affine_instance(rng, n=3, m=2):
     A = rng.normal(size=(n, n))
     c = rng.normal(size=n)
     G = rng.normal(size=(n, m))
-    return ControlAffineSystem(n, m, lambda x: A @ x + c, lambda x: G)
+    return ControlAffineSystem(n, m, lambda x: A @ x + c, lambda x: G.ravel())
 
 
 class TestProjectedDynamics:
@@ -63,7 +63,7 @@ class TestProjectedDynamics:
         )
         for _ in range(20):
             x, u = rng.normal(size=3), rng.normal(size=2)
-            xdot = sys.field_at(x, u)
+            xdot = np.array(sys.field_at(x, u))
             eps = 1e-6
             numeric = (proj.map(x + eps * xdot) - proj.map(x - eps * xdot)) / (2.0 * eps)
             assert np.allclose(projected_dynamics(proj, sys, x, u), numeric, rtol=1e-5, atol=1e-7)
@@ -179,8 +179,8 @@ class TestProjectedDisturbance:
         class PerfectResidual:
             def terms(self, x):
                 grad = scn.barrier.grad_h(x)
-                b = float(grad @ (scn.true_system.drift(x) - scn.nominal_system.drift(x)))
-                a = grad @ (scn.true_system.actuation(x) - scn.nominal_system.actuation(x))
+                b = float(grad @ np.subtract(scn.true_system.drift(x), scn.nominal_system.drift(x)))
+                a = grad @ np.subtract(scn.true_system.actuation(x), scn.nominal_system.actuation(x)).reshape(4, 1)
                 return b, a
 
         rng = np.random.default_rng(11)

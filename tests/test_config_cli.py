@@ -243,6 +243,17 @@ class TestSimulateCommand:
         assert summary["no_learning"]["status"] == "terminated_early"
         assert not summary["no_learning"]["pass"]
 
+    def test_power_alpha_overflow_exit_code(self, tmp_path):
+        # Far outside the set alpha(h) = h^200 rounds to -inf: the filter's demand is unbounded, the clamp holds |u|
+        # at u_max, and the run ends with a certificate verdict (here its precondition fails), not a crash.
+        path = write_cfg(tmp_path, {"run": {"duration": 0.05, "x0": [0.0, 0.0, 3.0, 0.0]},
+                                    "barrier": {"alpha": {"family": "power", "c": 1.0, "p": 200.0}}})
+        out = tmp_path / "out"
+        assert main(["simulate", "--config", str(path), "--out", str(out)]) == 4
+        summary = json.loads((out / "summary.json").read_text())
+        assert summary["no_learning"]["status"] == "precondition_violated"
+        assert summary["no_learning"]["filter_clamped_steps"] > 0
+
     def test_rollout_ending_on_first_step_exit_code(self, tmp_path):
         path = write_cfg(tmp_path, ZERO_STEP_RUN)
         out = tmp_path / "out"

@@ -8,8 +8,6 @@ from scipy.linalg import expm
 from pssf.dynamics import (
     BENCHMARK_PERTURBATION,
     ControlAffineSystem,
-    DisturbanceBoundError,
-    DisturbanceSignal,
     NonFiniteDynamicsError,
     NumericalBlowUpError,
     PerturbationSpec,
@@ -21,7 +19,8 @@ from pssf.dynamics import (
 )
 from pssf.ioutil import read_csv
 
-from oracles import field_at_reference, lipschitz_probe, planar_disk_demo, segway_energy, segway_reference
+from oracles import (DisturbanceBoundError, DisturbanceSignal, field_at_reference, lipschitz_probe, planar_disk_demo,
+                     segway_energy, segway_reference)
 
 
 @pytest.fixture
@@ -71,13 +70,13 @@ class TestSegwayModel:
     def test_benchmark_perturbation_has_drift_error(self, params, segway):
         nominal = segway_true(PerturbationSpec(scale={"body_mass": 1.2}, drop_friction=True).apply(params))
         x = np.array([0.0, 0.5, 0.1, 0.0])
-        assert np.linalg.norm(segway.drift(x) - nominal.drift(x)) > 1e-3
+        assert np.linalg.norm(np.subtract(segway.drift(x), nominal.drift(x))) > 1e-3
 
     def test_benchmark_perturbation_drift_sup_finite(self, params, segway):
         nominal = segway_true(BENCHMARK_PERTURBATION.apply(params))
         rng = np.random.default_rng(1)
         sup = max(
-            float(np.linalg.norm(segway.drift(x) - nominal.drift(x)))
+            float(np.linalg.norm(np.subtract(segway.drift(x), nominal.drift(x))))
             for x in random_segway_states(rng, 1000)
         )
         assert 0.0 < sup < 100.0
@@ -92,15 +91,20 @@ class TestSegwayModel:
         assert np.isfinite(ratio) and ratio < 1e3
 
 
+def negated(x):
+    """f(x) = -x on the float contract: a sequence in, a list out."""
+    return [-v for v in x]
+
+
 class TestStepRK4:
     def test_zero_dynamics(self):
-        sys = ControlAffineSystem(2, 2, lambda x: np.zeros(2), lambda x: np.eye(2))
+        sys = ControlAffineSystem(2, 2, lambda x: np.zeros(2), lambda x: np.eye(2).ravel())
         x = np.array([0.3, -0.7])
         out = step_rk4(sys, x, np.zeros(2), None, 0.1)
         assert np.array_equal(out, x)
 
     def test_scalar_decay_matches_exponential(self):
-        sys = ControlAffineSystem(1, 1, lambda x: -x, lambda x: np.zeros((1, 1)))
+        sys = ControlAffineSystem(1, 1, negated, lambda x: (0.0,))
         out = step_rk4(sys, np.array([1.0]), np.zeros(1), None, 0.1)
         assert out[0] == pytest.approx(math.exp(-0.1), abs=1e-7)
 
@@ -108,7 +112,7 @@ class TestStepRK4:
         rng = np.random.default_rng(3)
         for _ in range(10):
             A = rng.normal(size=(3, 3))
-            sys = ControlAffineSystem(3, 1, lambda x, A=A: A @ x, lambda x: np.zeros((3, 1)))
+            sys = ControlAffineSystem(3, 1, lambda x, A=A: A @ x, lambda x: np.zeros(3))
             x0 = rng.normal(size=3)
             dt = 0.01
             exact = expm(A * dt) @ x0
@@ -118,7 +122,7 @@ class TestStepRK4:
     def test_fourth_order_convergence(self):
         rng = np.random.default_rng(4)
         A = rng.normal(size=(3, 3))
-        sys = ControlAffineSystem(3, 1, lambda x: A @ x, lambda x: np.zeros((3, 1)))
+        sys = ControlAffineSystem(3, 1, lambda x: A @ x, lambda x: np.zeros(3))
         x0 = rng.normal(size=3)
         T = 0.5
 
@@ -132,23 +136,29 @@ class TestStepRK4:
         assert coarse / fine >= 2**4 * 0.8
 
     def test_blowup_guard(self):
-        sys = ControlAffineSystem(1, 1, lambda x: x * 1e9, lambda x: np.zeros((1, 1)))
+        sys = ControlAffineSystem(1, 1, lambda x: [v * 1e9 for v in x], lambda x: (0.0,))
         with pytest.raises(NumericalBlowUpError):
             step_rk4(sys, np.array([1.0]), np.zeros(1), None, 1.0)
+        # Every entry within the limit, their sum past it: no blow-up.
+        still = ControlAffineSystem(2, 1, lambda x: (0.0, 0.0), lambda x: (0.0, 0.0))
+        assert step_rk4(still, [6e7, -6e7], [0.0], None, 1.0) == (6e7, -6e7)
 
     def test_disturbance_enters_additively(self):
-        sys = ControlAffineSystem(2, 1, lambda x: np.zeros(2), lambda x: np.zeros((2, 1)))
+        sys = ControlAffineSystem(2, 1, lambda x: np.zeros(2), lambda x: np.zeros(2))
         d = np.array([1.0, -2.0])
         out = step_rk4(sys, np.zeros(2), np.zeros(1), d, 0.5)
         assert np.allclose(out, 0.5 * d)
 
 
 def numpy_rk4(system, x, u, d, dt):
-    """Textbook vector RK4 on ``field_at``'s numpy form: the oracle for :func:`step_rk4`."""
-    k1 = field_at_reference(system, x, u, d)
-    k2 = field_at_reference(system, x + 0.5 * dt * k1, u, d)
-    k3 = field_at_reference(system, x + 0.5 * dt * k2, u, d)
-    k4 = field_at_reference(system, x + dt * k3, u, d)
+    """Textbook vector RK4 in numpy on the written-out float field: the oracle for :func:`step_rk4`."""
+    def field(z):
+        return np.array(field_at_reference(system, z.tolist(), u, d))
+
+    k1 = field(x)
+    k2 = field(x + 0.5 * dt * k1)
+    k3 = field(x + 0.5 * dt * k2)
+    k4 = field(x + dt * k3)
     return x + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
 
 
@@ -181,7 +191,7 @@ class TestStepMatchesNumpyOracle:
         rng = np.random.default_rng(21)
         A = rng.normal(size=(3, 3))
         B = rng.normal(size=(3, m))
-        sys = ControlAffineSystem(3, m, lambda x: np.sin(A @ x) * x, lambda x: B * np.cos(x[0]))
+        sys = ControlAffineSystem(3, m, lambda x: np.sin(A @ x) * x, lambda x: (B * np.cos(x[0])).ravel())
         cases = [(rng.normal(size=3), rng.uniform(-100.0, 100.0, size=m), rng.normal(size=3))
                  for _ in range(200)]
         cases += [(np.array(x), np.full(m, u), np.array(d))
@@ -193,7 +203,7 @@ class TestStepMatchesNumpyOracle:
 
 class TestGuards:
     def test_nan_drift_raises_and_ends_rollout(self):
-        sys = ControlAffineSystem(1, 1, lambda x: np.array([math.nan]), lambda x: np.zeros((1, 1)))
+        sys = ControlAffineSystem(1, 1, lambda x: np.array([math.nan]), lambda x: (0.0,))
         with pytest.raises(NonFiniteDynamicsError):
             step_rk4(sys, np.array([1.0]), np.zeros(1), None, 1e-3)
         traj = simulate(sys, lambda x, t: np.zeros(1), np.array([1.0]), 0.01, 1e-3)
@@ -240,14 +250,13 @@ class TestSharedEvaluation:
         assert not np.array_equal(segway.drift(x), first_f)
         assert not np.array_equal(segway.actuation(x), first_g)
 
-    def test_returns_fresh_arrays(self, segway):
-        x = np.array([0.0, 0.3, 0.1, -0.2])
-        f = segway.drift(x)
-        f[:] = 0.0
-        g = segway.actuation(x)
-        g[:] = 0.0
-        assert np.any(segway.drift(x) != 0.0)
-        assert np.any(segway.actuation(x) != 0.0)
+    def test_returns_tuples_of_floats(self, segway):
+        # Immutable results: no caller can change what a later call returns. g is row-major, one entry per state.
+        for x in ([0.0, 0.3, 0.1, -0.2], (0.0, 0.3, 0.1, -0.2)):
+            f, g = segway.drift(x), segway.actuation(x)
+            assert type(f) is tuple and type(g) is tuple and len(f) == len(g) == 4
+            assert all(type(v) is float for v in f + g)
+            assert (f, g) == (segway.drift([0.0, 0.3, 0.1, -0.2]), segway.actuation([0.0, 0.3, 0.1, -0.2]))
 
 
 class TestMatchesReference:
@@ -274,24 +283,25 @@ class TestMatchesReference:
                                               ("nominal", "actuation")]}[order]
         for x in self.states():
             for system, evaluator in calls:
-                new, reference = (getattr(s, evaluator)(x) for s in systems[system])
-                assert (new.shape, new.tobytes()) == (reference.shape, reference.tobytes()), (system, evaluator, x)
+                new, reference = (getattr(s, evaluator)(x.tolist()) for s in systems[system])
+                assert (type(new), np.array(new).tobytes()) == (tuple, np.array(reference).tobytes()), \
+                    (system, evaluator, x)
 
 
 class TestSimulate:
     def test_zero_duration(self):
-        sys = ControlAffineSystem(1, 1, lambda x: -x, lambda x: np.zeros((1, 1)))
+        sys = ControlAffineSystem(1, 1, negated, lambda x: (0.0,))
         traj = simulate(sys, lambda x, t: np.zeros(1), np.array([2.0]), 0.0, 1e-3)
         assert len(traj.times) == 1 and len(traj.inputs) == 0
         assert traj.states[0, 0] == 2.0
 
     def test_scalar_feedback_tracks_closed_form(self):
-        sys = ControlAffineSystem(1, 1, lambda x: np.zeros(1), lambda x: np.eye(1))
-        traj = simulate(sys, lambda x, t: -x, np.array([1.0]), 5.0, 1e-3)
+        sys = ControlAffineSystem(1, 1, lambda x: np.zeros(1), lambda x: (1.0,))
+        traj = simulate(sys, lambda x, t: negated(x), np.array([1.0]), 5.0, 1e-3)
         assert traj.states[-1, 0] == pytest.approx(math.exp(-5.0), abs=1e-3)
 
     def test_non_integer_step_count_rejected(self):
-        sys = ControlAffineSystem(1, 1, lambda x: -x, lambda x: np.zeros((1, 1)))
+        sys = ControlAffineSystem(1, 1, negated, lambda x: (0.0,))
         with pytest.raises(ValueError):
             simulate(sys, lambda x, t: np.zeros(1), np.array([1.0]), 1.0, 3e-4)
         # duration/dt is inf, which has no nearest integer.
@@ -299,7 +309,7 @@ class TestSimulate:
             simulate(sys, lambda x, t: np.zeros(1), np.array([1.0]), 1.0, 1.0e-320)
 
     def test_trajectory_invariants(self):
-        sys = ControlAffineSystem(1, 1, lambda x: -x, lambda x: np.zeros((1, 1)))
+        sys = ControlAffineSystem(1, 1, negated, lambda x: (0.0,))
         traj = simulate(sys, lambda x, t: np.zeros(1), np.array([1.0]), 0.25, 1e-3)
         assert len(traj.states) == len(traj.times)
         assert len(traj.inputs) == len(traj.times) - 1
@@ -307,7 +317,7 @@ class TestSimulate:
         assert np.all(np.abs(spacing - 1e-3) <= 1e-12)
 
     def test_blowup_becomes_early_termination(self):
-        sys = ControlAffineSystem(1, 1, lambda x: x * x * np.sign(x), lambda x: np.zeros((1, 1)))
+        sys = ControlAffineSystem(1, 1, lambda x: [v * abs(v) for v in x], lambda x: (0.0,))
         traj = simulate(sys, lambda x, t: np.zeros(1), np.array([10.0]), 5.0, 1e-2)
         assert traj.terminated_early
         assert traj.termination_reason == "numerical blow-up"
@@ -326,7 +336,7 @@ class TestSimulate:
         assert np.array_equal(a.inputs, b.inputs)
 
     def test_recorded_inputs_are_controller_outputs(self):
-        sys = ControlAffineSystem(1, 1, lambda x: np.zeros(1), lambda x: np.eye(1))
+        sys = ControlAffineSystem(1, 1, lambda x: np.zeros(1), lambda x: (1.0,))
         traj = simulate(sys, lambda x, t: np.array([math.sin(t)]), np.array([0.0]), 0.01, 1e-3)
         expected = np.array([math.sin(j * 1e-3) for j in range(10)])
         assert np.array_equal(traj.inputs[:, 0], expected)
@@ -387,7 +397,7 @@ class TestTrajectoryCsv:
         assert float(rows[0][3]) == 1.0 / 3.0
 
     def test_zero_step_header_keeps_input_dim(self, tmp_path):
-        system = ControlAffineSystem(2, 2, drift=lambda x: np.zeros(2), actuation=lambda x: np.eye(2))
+        system = ControlAffineSystem(2, 2, drift=lambda x: np.zeros(2), actuation=lambda x: np.eye(2).ravel())
         traj = simulate(system, lambda x, t: np.zeros(2), np.array([0.1, 0.2]), 0.0, 1e-3)
         path = tmp_path / "traj.csv"
         traj.to_csv(path)

@@ -11,10 +11,9 @@ from pssf.kfun import (
     DomainError,
     Linear,
     Power,
-    verify_class_membership,
 )
 
-from oracles import Interpolated
+from oracles import Interpolated, verify_class_membership
 
 
 class TestEvaluate:
@@ -31,6 +30,12 @@ class TestEvaluate:
 
     def test_power_zero_exact(self):
         assert Power(3.0, 0.5)(0.0) == 0.0
+
+    def test_power_overflow_is_signed_infinity(self):
+        # |r|^p alone overflows: c |r|^p rounds to +-inf for c >= 1, and stays finite when c brings it back.
+        assert Power(1.0, 200.0)(-99.0) == -math.inf
+        assert Power(1.0, 200.0)(99.0) == math.inf
+        assert Power(1e-300, 200.0)(-40.0) == pytest.approx(-1e-300 * 4.0 ** 200 * 10.0 ** 200, rel=1e-12)
 
     def test_invalid_parameters(self):
         with pytest.raises(ValueError):

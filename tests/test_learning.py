@@ -78,7 +78,7 @@ class TestFeatureMap:
         for spec in (poly(3), {"kind": "random_fourier", "count": 9, "bandwidth": 0.7}):
             fm = FeatureMap.fit(spec, states)
             phi = fm(states[0])
-            assert phi.shape == (fm.dimension,)
+            assert type(phi) is list and len(phi) == fm.dimension
             assert np.all(np.isfinite(phi))
 
     def test_batch_matches_single(self):
@@ -88,6 +88,24 @@ class TestFeatureMap:
         for j in range(len(states)):
             assert np.allclose(batch[j], fm(states[j]))
 
+    @pytest.mark.parametrize("spec", [poly(2), poly(2, (1, 2, 3)), poly(3), poly(3, (0, 2, 3)),
+                                      {"kind": "random_fourier", "count": 12, "bandwidth": 0.8},
+                                      {"kind": "random_fourier", "count": 12, "bandwidth": 0.8, "seed": 4,
+                                       "indices": (1, 3)}],
+                             ids=["degree2", "degree2_indices", "degree3", "degree3_indices", "random_fourier",
+                                  "random_fourier_indices"])
+    def test_stack_equals_states_one_at_a_time(self, spec):
+        """The fit's phi (a stack) is the filter's phi (one state as floats) bit for bit, signed zeros included."""
+        rng = np.random.default_rng(13)
+        states = rng.normal(size=(100_000, 4)) * rng.uniform(0.1, 5.0, size=4)
+        zeros = rng.uniform(size=states.shape) < 0.01
+        states[zeros] = rng.choice([0.0, -0.0], size=int(zeros.sum()))
+        fm = FeatureMap.fit(spec, states[:1000])
+        stack = fm(states)
+        assert stack.shape == (len(states), fm.dimension)
+        singles = np.array([fm(x) for x in states.tolist()])
+        assert stack.tobytes() == singles.tobytes()
+
     @pytest.mark.parametrize("spec", [poly(2, (1, 2, 3)), poly(3),
                                       {"kind": "random_fourier", "count": 12, "bandwidth": 0.8, "indices": (0, 2)}],
                              ids=["polynomial", "polynomial_all_coordinates", "random_fourier"])
@@ -95,9 +113,9 @@ class TestFeatureMap:
         rng = np.random.default_rng(11)
         states = rng.normal(size=(100_000, 4)) * rng.uniform(0.1, 5.0, size=4)
         fm = FeatureMap.fit(spec, states[:1000])
-        assert np.array_equal(fm(states), feature_map_reference(fm, states))
+        assert fm(states).tobytes() == np.array(feature_map_reference(fm, states)).tobytes()
         for x in states[:2000]:
-            assert np.array_equal(fm(x), feature_map_reference(fm, x))
+            assert np.array(fm(x)).tobytes() == np.array(feature_map_reference(fm, x)).tobytes()
 
     @pytest.mark.parametrize("center, scale", [(np.zeros(1), np.ones(2)), (np.zeros(2), np.ones(1)),
                                                (np.zeros(3), np.ones(3)), (np.zeros((1, 2)), np.ones((1, 2)))])

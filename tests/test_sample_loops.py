@@ -1,10 +1,10 @@
 """Bitwise oracles for the per-sample functions of a rollout and for the CSV writer.
 
-``step_rk4``, ``field_at``, ``safety_filter``, ``projected_disturbance`` and ``h_dot`` run
-single products on Python floats where their earlier form used numpy; the
-learned closed loop amplifies a last-bit change (ROADMAP Baseline), so each
-must equal that earlier form (``tests/oracles.py``) byte for byte, signed
-zeros included.
+``step_rk4``, ``field_at``, ``safety_filter``, ``projected_disturbance``, ``h_dot`` and the
+feature map run on Python floats, every sum of products one left-to-right chain from 0.0.
+The learned closed loop amplifies a last-bit change (ROADMAP Baseline), so each must
+equal the same arithmetic written out plainly (``tests/oracles.py``) byte for byte,
+signed zeros included.
 """
 
 import itertools
@@ -24,7 +24,7 @@ from pssf.kfun import Linear
 from pssf.learning import ResidualModel
 from pssf.scenario import build_scenario
 
-from oracles import (feature_map_reference, field_at_reference, h_dot_reference, planar_disk_demo,
+from oracles import (chain_reference, feature_map_reference, field_at_reference, h_dot_reference, planar_disk_demo,
                      projected_disturbance_reference, safety_filter_reference, step_rk4_reference, write_csv_reference)
 
 REPO_ROOT = Path(__file__).resolve().parents[1]
@@ -41,13 +41,13 @@ def assert_same_filter(new, ref):
 
 
 def signed_zero_pairs(rng, lows, highs, u_bound, m):
-    """PAIRS seeded (x, u): uniform, with about 5 % of entries +0.0 or -0.0; |u| reaches twice u_bound."""
+    """PAIRS seeded (x, u) as lists of floats: uniform, with about 5 % of entries +0.0 or -0.0; |u| reaches twice u_bound."""
     states = rng.uniform(lows, highs, size=(PAIRS, len(lows)))
     inputs = rng.uniform(-2.0 * u_bound, 2.0 * u_bound, size=(PAIRS, m))
     for arr in (states, inputs):
         zeros = rng.uniform(size=arr.shape) < 0.05
         arr[zeros] = rng.choice([0.0, -0.0], size=int(zeros.sum()))
-    return list(zip(states, inputs))
+    return list(zip(states.tolist(), inputs.tolist()))
 
 
 @pytest.fixture(scope="module")
@@ -58,14 +58,14 @@ def segway_benchmark():
 
 
 class ReferenceResidual:
-    """``ResidualModel.terms`` on the feature map as first written (integer exponents)."""
+    """``ResidualModel.terms`` written out: the reference feature map, and w_b . phi and W_a phi as chains."""
 
     def __init__(self, model: ResidualModel):
         self.model = model
 
     def terms(self, x):
         phi = feature_map_reference(self.model.features, x)
-        return float(self.model.w_b @ phi), self.model.W_a @ phi
+        return chain_reference(self.model.w_b.tolist(), phi), [chain_reference(row, phi) for row in self.model.W_a.tolist()]
 
 
 class TestSegwaySamples:
@@ -74,9 +74,8 @@ class TestSegwaySamples:
         u_max = scn.cfg["controller"]["u_max"]
         cases = signed_zero_pairs(np.random.default_rng(31), [-2, -3, -0.4, -1.5], [2, 3, 0.4, 1.5], u_max, 1)
         # At rest every stage derivative can be a signed zero; where grad_h vanishes the filter is infeasible.
-        cases += [(np.array(x), np.array([u])) for x in itertools.product([0.0, -0.0], repeat=4)
-                  for u in (0.0, -0.0, 1.0, -1.0)]
-        cases += [(np.array([0.1, 0.2, z2, z3]), np.array([u])) for z2 in (0.0, -0.0) for z3 in (0.0, -0.0)
+        cases += [(list(x), [u]) for x in itertools.product([0.0, -0.0], repeat=4) for u in (0.0, -0.0, 1.0, -1.0)]
+        cases += [([0.1, 0.2, z2, z3], [u]) for z2 in (0.0, -0.0) for z3 in (0.0, -0.0)
                   for u in (0.0, -0.0, u_max, -2.0 * u_max)]
         reference = ReferenceResidual(model)
         bar, plant, design = scn.barrier, scn.true_system, scn.nominal_system
@@ -96,23 +95,22 @@ class TestSegwaySamples:
                     bits(projected_disturbance_reference(bar, plant, design, x, u, ref_residual))
         assert branches["modified"] > 1000 and branches["infeasible"] > 0
 
-    def test_feature_map_matches_integer_exponents(self, segway_benchmark):
+    def test_feature_map_matches_reference_products(self, segway_benchmark):
         _, model = segway_benchmark
         states = np.random.default_rng(32).uniform([-2, -3, -0.4, -1.5], [2, 3, 0.4, 1.5], size=(PAIRS, 4))
-        for x in states:
+        for x in states.tolist():
             assert bits(model.features(x)) == bits(feature_map_reference(model.features, x))
         assert bits(model.features(states)) == bits(feature_map_reference(model.features, states))
 
 
 def test_filter_signed_zero_margin():
-    """b = -alpha(h) - grad_h . f is +0.0 and a . u_des is -0.0: the margin is +0.0, as numpy's dot gives."""
-    bar = BarrierFunction(h=lambda x: 1.0 - float(x[0] * x[0]), grad_h=lambda x: np.array([-2.0 * x[0]]),
-                          alpha=Linear(1.0))
+    """b = -alpha(h) - grad_h . f is +0.0 and a . u_des is -0.0: the margin is +0.0, as the chain from +0.0 gives."""
+    bar = BarrierFunction(h=lambda x: 1.0 - x[0] * x[0], grad_h=lambda x: (-2.0 * x[0],), alpha=Linear(1.0))
     cases = 0
     for c, gain, x0, u in itertools.product((0.75, -0.75, 0.0, -0.0), (1.0, -1.0), (0.5, -0.5, 0.0, -0.0),
                                             (0.0, -0.0, 1.0, -1.0)):
-        system = ControlAffineSystem(1, 1, lambda x, c=c: np.array([c]), lambda x, g=gain: np.array([[g]]))
-        x, u_des = np.array([x0]), np.array([u])
+        system = ControlAffineSystem(1, 1, lambda x, c=c: (c,), lambda x, g=gain: (g,))
+        x, u_des = [x0], [u]
         new = safety_filter(bar, system, u_des, x)
         assert_same_filter(new, safety_filter_reference(bar, system, u_des, x))
         cases += bits(new.constraint_margin) == bits(0.0)
@@ -120,15 +118,15 @@ def test_filter_signed_zero_margin():
 
 
 class TestPlanarDiskSamples:
-    """m = 2: every sum of two products stays numpy's."""
+    """m = 2 with a disturbance: sums of two products, chained, that no CLI config reaches."""
 
     def test_two_inputs_with_disturbance(self):
         demo = planar_disk_demo()
-        design = ControlAffineSystem(2, 2, lambda x: 0.1 * x, lambda x: np.array([[0.9, 0.2], [-0.1, 1.1]]))
+        design = ControlAffineSystem(2, 2, lambda x: (0.1 * x[0], 0.1 * x[1]), lambda x: (0.9, 0.2, -0.1, 1.1))
 
         class Residual:
             def terms(self, x):
-                return float(np.sin(x[0])), np.array([x[1], -x[0]])
+                return math.sin(x[0]), (x[1], -x[0])
 
         rng = np.random.default_rng(33)
         cases = signed_zero_pairs(rng, [-1.2, -1.2], [1.2, 1.2], 1.0, 2)

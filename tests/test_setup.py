@@ -4,7 +4,8 @@
 loader otherwise; both must give the same resolved config and the same config
 errors, each at its pinned path. ``model_error_drift_sup`` takes its norms in one
 stacked call and must equal the per-sample loop it replaced (``tests/oracles.py``)
-bit for bit.
+bit for bit. That loop subtracts arrays, so it reads the scenario through
+:func:`array_drifts`; the drifts themselves return tuples of floats.
 """
 
 import os
@@ -25,12 +26,22 @@ from oracles import model_error_drift_sup_reference
 
 REPO_ROOT = Path(__file__).resolve().parents[1]
 
+
+def array_drifts(scn):
+    """``scn`` as ``model_error_drift_sup_reference`` reads it: its drifts' tuples as arrays, which subtract."""
+    def as_array(drift):
+        return lambda x: np.array(drift(x))
+
+    return SimpleNamespace(seed=scn.seed, cfg=scn.cfg, true_system=SimpleNamespace(drift=as_array(scn.true_system.drift)),
+                           nominal_system=SimpleNamespace(drift=as_array(scn.nominal_system.drift)))
+
 # The YAML of every case in CI's console-script exit-code loop, the malformed one included, each with the
 # start of the config error that load_config gives (None: the config is valid; see _outcome for a parse
 # error). The path is pinned and the message is not, so a change of validator cannot move a path silently.
 CI_CASES = [
     ("run: {duration: 0.2}", None),
     ("run: {x0: [0, 0, 0, 1.0e+9], duration: 0.01}", None),
+    ("{run: {duration: 0.05, x0: [0.0, 0.0, 3.0, 0.0]}, barrier: {alpha: {family: power, c: 1.0, p: 200.0}}}", None),
     ("run: {duration: .inf}", "config error at run.duration: "),
     ("barrier: {alpha: {family: tabulated, breakpoints: [[-1, -1], [0, 0], [.inf, 1]]}}",
      "config error at barrier.alpha: "),
@@ -92,8 +103,8 @@ def test_loaders_give_equal_configs(tmp_path, monkeypatch):
     fallback = [_outcome(path) for path in paths]
     assert with_libyaml == fallback
     assert with_libyaml[0] == DEFAULT_CONFIG
-    # Valid: the benchmark, the cases that exit 0 and 3, and the fractional episode, which only learn checks.
-    assert sum(isinstance(o, dict) for o in with_libyaml) == 4
+    # Valid: the benchmark, the cases that exit 0, 3 and 4, and the fractional episode, which only learn checks.
+    assert sum(isinstance(o, dict) for o in with_libyaml) == 5
     assert with_libyaml.count("cannot parse") == 1
     for (text, pinned), outcome in zip(CI_CASES, with_libyaml[1:]):
         if pinned is None:
@@ -130,19 +141,23 @@ def test_model_error_drift_sup_matches_reference(perturbation):
         for samples in (0, 1, 7, 1000):
             new = model_error_drift_sup(scn, samples)
             assert type(new) is float
-            assert np.float64(new).tobytes() == np.float64(model_error_drift_sup_reference(scn, samples)).tobytes()
+            reference = model_error_drift_sup_reference(array_drifts(scn), samples)
+            assert np.float64(new).tobytes() == np.float64(reference).tobytes()
         assert model_error_drift_sup(scn, 0) == 0.0
         assert (model_error_drift_sup(scn, 7) > 0.0) == (perturbation is None)
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf])
 def test_model_error_drift_sup_non_finite_rows(bad):
-    """A NaN norm is skipped and an infinite one is the sup, as in the loop; seen through stand-in drifts."""
+    """A NaN norm is skipped and an infinite one is the sup, as in the loop; seen through stand-in drifts.
+
+    The stand-ins take a sample as a list (``model_error_drift_sup``) or as an array (the reference) and return arrays.
+    """
     def drift(x):
         return np.array([x[0], bad if x[1] > 1.5 else x[1], x[2], x[3]])
 
     scn = SimpleNamespace(seed=3, cfg={"barrier": {"pitch_max": 0.3, "pitch_rate_max": 1.0}},
-                          true_system=SimpleNamespace(drift=drift), nominal_system=SimpleNamespace(drift=lambda x: 0.5 * x))
+                          true_system=SimpleNamespace(drift=drift), nominal_system=SimpleNamespace(drift=lambda x: np.multiply(0.5, x)))
     for samples in (1, 7, 1000):
         new, ref = model_error_drift_sup(scn, samples), model_error_drift_sup_reference(scn, samples)
         assert np.float64(new).tobytes() == np.float64(ref).tobytes()
