@@ -63,7 +63,7 @@ def _run(args) -> int:
     if args.command == "simulate":
         try:
             model = ResidualModel.load(args.model) if args.model else None
-        except (OSError, ValueError) as exc:
+        except (OSError, ValueError, RecursionError) as exc:
             raise ConfigError(f"config error: cannot load model {args.model}: {exc}") from exc
         summary = simulate_artifacts(cfg, args.out, model=model)
         modes = {name: summary[name] for name in MODES if summary[name] is not None}

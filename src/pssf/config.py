@@ -11,7 +11,9 @@ A rule is a JSON Schema subset that ``ioutil.rule_error`` walks, in model files
 too: type, minimum, exclusiveMinimum, enum, properties, additionalProperties
 (false), required, items, minItems, maxItems and anyOf. Of a config's errors it
 reports the shallowest, a type error first, then the first in keyword order; a
-failed anyOf reports its branch that fails in fewest ways.
+failed anyOf reports its branch that fails in fewest ways. Alpha's rule is
+``kfun.ALPHA``, which refers to itself for a composition's parts. A file that
+nests deeper than ``MAX_DEPTH`` levels is a config error before it is composed.
 """
 
 from __future__ import annotations
@@ -24,7 +26,7 @@ import yaml
 
 from . import kfun
 from .dynamics import BENCHMARK_PERTURBATION, PerturbationSpec, SegwayParams, step_count
-from .ioutil import rule_block as _block, rule_error
+from .ioutil import AT_LEAST_ONE, POSITIVE, rule_block as _block, rule_error
 from .learning import FEATURES, FeatureMap
 
 
@@ -35,9 +37,7 @@ class ConfigError(ValueError):
 _SEGWAY_DEFAULTS = dataclasses.asdict(SegwayParams())
 
 _NUMBER = {"type": "number"}
-_POSITIVE = {"type": "number", "exclusiveMinimum": 0}
 _NONNEGATIVE = {"type": "number", "minimum": 0}
-_AT_LEAST_ONE = {"type": "integer", "minimum": 1}
 _FOUR_NONNEGATIVE = {"type": "array", "items": _NONNEGATIVE, "minItems": 4, "maxItems": 4}
 
 
@@ -50,36 +50,36 @@ def _leaf(rule: dict, default) -> dict:
 # whole by an override; a block without one takes its keys' defaults.
 SCHEMA = _block(required=["system", "barrier", "controller", "learning", "run"], properties={
     "system": _block({
-        **{name: _leaf(_POSITIVE, value) for name, value in _SEGWAY_DEFAULTS.items() if name != "viscous_friction"},
+        **{name: _leaf(POSITIVE, value) for name, value in _SEGWAY_DEFAULTS.items() if name != "viscous_friction"},
         "viscous_friction": _leaf(_NONNEGATIVE, _SEGWAY_DEFAULTS["viscous_friction"]),
         "perturbation": _block({
-            "scale": _leaf(_block({name: _POSITIVE for name in _SEGWAY_DEFAULTS}), dict(BENCHMARK_PERTURBATION.scale)),
+            "scale": _leaf(_block({name: POSITIVE for name in _SEGWAY_DEFAULTS}), dict(BENCHMARK_PERTURBATION.scale)),
             "drop_friction": _leaf({"type": "boolean"}, BENCHMARK_PERTURBATION.drop_friction),
         }),
     }),
     "barrier": _block({
-        "pitch_max": _leaf(_POSITIVE, 0.3),
-        "pitch_rate_max": _leaf(_POSITIVE, 1.0),
-        "alpha": _leaf({"type": "object"}, {"family": "linear", "k": 1.0}),
+        "pitch_max": _leaf(POSITIVE, 0.3),
+        "pitch_rate_max": _leaf(POSITIVE, 1.0),
+        "alpha": _leaf(kfun.ALPHA, {"family": "linear", "k": 1.0}),
     }),
     "controller": _block({
         "kp": _leaf(_NUMBER, 220.0),
         "kd": _leaf(_NUMBER, 45.0),
-        "u_max": _leaf(_POSITIVE, 100.0),
+        "u_max": _leaf(POSITIVE, 100.0),
         "reference": _block({"amplitude": _leaf(_NONNEGATIVE, 0.25), "frequency": _leaf(_NONNEGATIVE, 0.45)}),
     }),
     "learning": _block({
-        "episodes": _leaf(_AT_LEAST_ONE, 5),
-        "episode_duration": _leaf(_POSITIVE, 10.0),
+        "episodes": _leaf(AT_LEAST_ONE, 5),
+        "episode_duration": _leaf(POSITIVE, 10.0),
         "features": _leaf(FEATURES, {"kind": "polynomial", "max_degree": 2, "indices": [1, 2, 3], "seed": 0}),
-        "ridge_lambda": _leaf(_POSITIVE, 1.0e-3),
-        "excitation": _block({"amplitude": _leaf(_NONNEGATIVE, 8.0), "hold_steps": _leaf(_AT_LEAST_ONE, 20)}),
+        "ridge_lambda": _leaf(POSITIVE, 1.0e-3),
+        "excitation": _block({"amplitude": _leaf(_NONNEGATIVE, 8.0), "hold_steps": _leaf(AT_LEAST_ONE, 20)}),
         "x0_jitter": _leaf({"anyOf": [{"type": "null"}, _FOUR_NONNEGATIVE]}, None),
         "noise_std": _leaf({"anyOf": [{"type": "null"}, _NONNEGATIVE, _FOUR_NONNEGATIVE]}, None),
     }),
     "run": _block({
-        "duration": _leaf(_POSITIVE, 10.0),
-        "dt": _leaf(_POSITIVE, 1.0e-3),
+        "duration": _leaf(POSITIVE, 10.0),
+        "dt": _leaf(POSITIVE, 1.0e-3),
         "seed": _leaf({"type": "integer"}, 0),
         "x0": _leaf({"type": "array", "items": _NUMBER, "minItems": 4, "maxItems": 4}, [0.0, 0.0, 0.0, 0.0]),
     }),
@@ -131,8 +131,8 @@ def validate_config(user: dict) -> dict:
     if error is not None:
         raise ConfigError(f"config error at {error}")
 
-    # The step count, the Segway parameters, alpha and the feature weights' range
-    # are checked by the code that builds them.
+    # The step count, the Segway parameters, alpha's inverse and the feature
+    # weights' range are checked by the code that builds them.
     check_steps(resolved["run"]["duration"], resolved["run"]["dt"], "run.duration")
     try:
         system_params(resolved["system"])
@@ -140,10 +140,7 @@ def validate_config(user: dict) -> dict:
         raise ConfigError(f"config error at system: {exc}") from exc
     # Every family takes all reals, as the filter's alpha at any h must; every
     # certificate needs alpha^-1 at any delta_bar >= 0, so it must be representable.
-    try:
-        alpha = kfun.from_config(resolved["barrier"]["alpha"])
-    except (ValueError, TypeError, OverflowError) as exc:
-        raise ConfigError(f"config error at barrier.alpha: {exc}") from exc
+    alpha = kfun.from_config(resolved["barrier"]["alpha"])
     try:
         alpha.inverse()
     except (ValueError, OverflowError) as exc:
@@ -158,6 +155,33 @@ def validate_config(user: dict) -> dict:
     return resolved
 
 
+# An alpha of 97 compositions fits; each step that recurses once per level stays far inside Python's limit.
+MAX_DEPTH = 100
+
+
+def _check_depth(text: str, loader, path) -> None:
+    """Config error unless ``text`` composes to at most ``MAX_DEPTH`` levels, an alias as deep as its anchor.
+
+    libyaml's composer recurses on the C stack, which some 20 000 levels overflow; its parser does not. The event
+    scan costs a third of a parse, so it skips a text with no alias and at most ``MAX_DEPTH`` collection starts.
+    """
+    if "*" not in text and sum(map(text.count, "-?:[{")) <= MAX_DEPTH:  # each collection starts at one of these
+        return
+    heights, stack = {}, []  # each anchor's height in collections, itself included; [anchor, height] of each open one
+    for event in yaml.parse(text, Loader=loader):
+        height = heights.get(event.anchor, 0) if isinstance(event, yaml.AliasEvent) else 0  # an alias's is its anchor's
+        if isinstance(event, yaml.CollectionStartEvent):
+            stack.append([event.anchor, 1])
+            heights[event.anchor] = float("inf")  # until it ends: an alias inside its own anchor nests without end
+        elif isinstance(event, yaml.CollectionEndEvent):
+            anchor, height = stack.pop()
+            heights[anchor] = height
+        if len(stack) + height > MAX_DEPTH:  # the deepest level the event reaches, a start's being its own
+            raise ConfigError(f"config error: nesting deeper than {MAX_DEPTH} levels in {path}")
+        if stack:
+            stack[-1][1] = max(stack[-1][1], height + 1)
+
+
 def load_config(path) -> dict:
     """Read a YAML scenario file and return the resolved config.
 
@@ -165,17 +189,17 @@ def load_config(path) -> dict:
     installed PyYAML has one, and with ``yaml.SafeLoader`` otherwise; both
     build the same dict through the same safe constructor and resolver.
     """
-    path = Path(path)
-    if not path.exists():
-        raise ConfigError(f"config error: file not found: {path}")
     try:
-        with open(path) as fh:
-            user = yaml.load(fh, Loader=getattr(yaml, "CSafeLoader", yaml.SafeLoader))
+        text = Path(path).read_text()
+    except (OSError, UnicodeDecodeError) as exc:  # missing, a directory, or not UTF-8
+        raise ConfigError(f"config error: cannot read {path}: {exc}") from exc
+    loader = getattr(yaml, "CSafeLoader", yaml.SafeLoader)
+    try:
+        _check_depth(text, loader, path)
+        user = yaml.load(text, Loader=loader)
     except yaml.YAMLError as exc:
         raise ConfigError(f"config error: cannot parse {path}: {exc}") from exc
-    if user is None:
-        user = {}
-    return validate_config(user)
+    return validate_config({} if user is None else user)
 
 
 def save_config(cfg: dict, path) -> None:

@@ -8,26 +8,19 @@ import sys
 from pathlib import Path
 
 
-def fmt_float(value: float) -> str:
-    """17-significant-digit decimal rendering (exact binary64 round trip)."""
-    return format(float(value), ".17g")
-
-
 def _cell(value) -> str:
     if value is None:
         return ""
     if isinstance(value, bool):
         return "true" if value else "false"
-    if isinstance(value, (int,)) and not isinstance(value, bool):
-        return str(value)
     if isinstance(value, float):
-        return fmt_float(value)
+        return format(float(value), ".17g")
     return str(value)
 
 
 def write_csv(path, header, rows) -> None:
     """Comma-separated, header row, LF line endings, 17-digit floats; rows stream. A row of Python floats is one
-    ``%.17g`` format (no float needs quoting); any other row goes through the csv writer, a float skipping ``_cell``."""
+    ``%.17g`` format (no float needs quoting); any other row goes through the csv writer, each cell through ``_cell``."""
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
     with open(path, "w", newline="\n") as fh:
@@ -37,7 +30,7 @@ def write_csv(path, header, rows) -> None:
             if all(type(v) is float for v in row):
                 fh.write(",".join(["%.17g"] * len(row)) % tuple(row) + "\n")
             else:
-                writer.writerow([format(v, ".17g") if type(v) is float else _cell(v) for v in row])
+                writer.writerow([_cell(v) for v in row])
 
 
 def read_csv(path):
@@ -70,6 +63,10 @@ def _is_type(kind: str, value) -> bool:
     if kind == "number":
         return isinstance(value, (int, float)) and abs(value) <= sys.float_info.max
     return isinstance(value, {"object": dict, "array": list, "integer": int, "boolean": bool, "null": type(None)}[kind])
+
+
+POSITIVE = {"type": "number", "exclusiveMinimum": 0}
+AT_LEAST_ONE = {"type": "integer", "minimum": 1}
 
 
 def rule_block(properties: dict, **extra) -> dict:
@@ -117,9 +114,9 @@ def _rule_errors(rule: dict, value, path: tuple) -> list:
     return errors
 
 
-def rule_error(rule: dict, value, path: tuple = ()) -> str | None:
+def rule_error(rule: dict, value) -> str | None:
     """``<path>: <message>`` of the error reported (``pssf.config`` says which), or None if ``value`` keeps ``rule``."""
-    errors = _rule_errors(rule, value, path)
+    errors = _rule_errors(rule, value, ())
     if errors:
         where, _, message = min(errors, key=lambda error: (len(error[0]), not error[1]))
         return f"{'.'.join(map(str, where)) or '<root>'}: {message}"

@@ -17,13 +17,16 @@ usable as an extended class-K function without separate code paths.
 
 Every function takes every finite argument, so any two compose. Infinite
 and NaN arguments raise :class:`DomainError`; constructors reject
-non-finite parameters.
+non-finite parameters. A config names a function by a block whose one rule
+is ``ALPHA``, and :func:`from_config` builds from a block that keeps it.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+
+from .ioutil import POSITIVE, rule_block
 
 
 class DomainError(ValueError):
@@ -110,32 +113,19 @@ class Composition(ComparisonFunction):
         return Composition(self.inner.inverse(), self.outer.inverse())
 
 
-def _number(value) -> float:
-    """A config parameter as a float; only int and float values (not bool) are numbers."""
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ValueError(f"comparison function parameters must be numbers, got {value!r}")
-    return float(value)
+# The rule of a barrier.alpha block: a family and its parameters, where a composition's parts keep the rule too,
+# so it refers to itself. That branch comes first: of equal failures the walker reports a part's, not the keys'.
+ALPHA = {"type": "object", "anyOf": []}
+_PARAMS = {"composition": {"outer": ALPHA, "inner": ALPHA}, "linear": {"k": POSITIVE},
+           "power": {"c": POSITIVE, "p": POSITIVE}}
+ALPHA["anyOf"] += [rule_block({"family": {"enum": [family]}, **params}, required=["family", *params])
+                   for family, params in _PARAMS.items()]
 
 
 def from_config(spec: dict) -> ComparisonFunction:
-    """Build from the scenario-config form (named family + parameters).
-
-    Unknown families or keys, and parameters that are not int or float, are errors.
-    """
-    if not isinstance(spec, dict) or "family" not in spec:
-        raise ValueError(f"comparison function spec needs a 'family' key: {spec!r}")
-    family = spec["family"]
-    extra = set(spec) - {"family"}
-    if family == "linear":
-        if extra != {"k"}:
-            raise ValueError(f"linear takes exactly 'k', got {sorted(extra)}")
-        return Linear(_number(spec["k"]))
-    if family == "power":
-        if extra != {"c", "p"}:
-            raise ValueError(f"power takes exactly 'c' and 'p', got {sorted(extra)}")
-        return Power(_number(spec["c"]), _number(spec["p"]))
-    if family == "composition":
-        if extra != {"outer", "inner"}:
-            raise ValueError(f"composition takes exactly 'outer' and 'inner', got {sorted(extra)}")
-        return Composition(from_config(spec["outer"]), from_config(spec["inner"]))
-    raise ValueError(f"unknown comparison function family {family!r}")
+    """Build from the scenario-config form, a block that keeps ``ALPHA`` (named family + parameters)."""
+    if spec["family"] == "linear":
+        return Linear(float(spec["k"]))
+    if spec["family"] == "power":
+        return Power(float(spec["c"]), float(spec["p"]))
+    return Composition(from_config(spec["outer"]), from_config(spec["inner"]))

@@ -163,15 +163,15 @@ def _mode_summary(scn: Scenario, residual: Optional[ResidualModel]) -> tuple[Tra
 
 
 def _check_model_fits(model: ResidualModel, system: ControlAffineSystem) -> None:
-    """Config error unless W_a has one row per input and the feature map selects coordinates of the state."""
+    """Config error unless W_a has one row per input and a map over every coordinate has one center entry per state.
+
+    A map with indices has one center entry per index (``FeatureMap``), each a state of the 4 (``MODEL_FEATURES``)."""
     if len(model.W_a) != system.input_dim:
         raise ConfigError(f"config error: the model's W_a has {len(model.W_a)} rows, one per input, "
                           f"but the plant has {system.input_dim} inputs")
-    n, indices = system.state_dim, model.features.spec["indices"]
-    selected = list(range(n)) if indices is None else list(indices)
-    if len(selected) != model.features.center.size or not all(0 <= i < n for i in selected):
-        raise ConfigError(f"config error: the model's features select coordinates {selected} with "
-                          f"{model.features.center.size} center entries, but the plant has {n} states")
+    if model.features.spec["indices"] is None and model.features.center.size != system.state_dim:
+        raise ConfigError(f"config error: the model's features select all {system.state_dim} states with "
+                          f"{model.features.center.size} center entries")
 
 
 def simulate_artifacts(cfg: dict, out_dir, model: Optional[ResidualModel] = None) -> dict:

@@ -1,6 +1,7 @@
 import filecmp
 import json
 import math
+import re
 from pathlib import Path
 
 import numpy as np
@@ -91,9 +92,9 @@ class TestConfigValidation:
         with pytest.raises(ConfigError, match="alpha"):
             validate_config({"barrier": {"alpha": {"family": "linear", "k": math.inf}}})
         # Parameters are int or float: a string or a boolean is not a number.
-        for alpha in ({"family": "linear", "k": "2"}, {"family": "linear", "k": True},
-                      {"family": "power", "c": "1", "p": 2}):
-            with pytest.raises(ConfigError, match="alpha"):
+        for where, alpha in (("k: '2'", {"family": "linear", "k": "2"}), ("k: True", {"family": "linear", "k": True}),
+                             ("c: '1'", {"family": "power", "c": "1", "p": 2})):
+            with pytest.raises(ConfigError, match=f"at barrier.alpha.{where} is not of type 'number'"):
                 validate_config({"barrier": {"alpha": alpha}})
         with pytest.raises(ConfigError, match="alpha"):
             validate_config({"barrier": {"alpha": {"family": "tabulated",
@@ -108,8 +109,11 @@ class TestConfigValidation:
         # table, alone or inside a composition.
         tables = [{"family": "tabulated", "breakpoints": breakpoints}
                   for breakpoints in ([[-10, -9], [10, 11]], [[0, 0], [1, 1]], [[-1, -1], [1, 1]])]
-        for alpha in (*tables, {"family": "composition", "outer": {"family": "linear", "k": 1.0}, "inner": tables[2]}):
-            with pytest.raises(ConfigError, match="at barrier.alpha: unknown comparison function family 'tabulated'"):
+        unexpected = re.escape(": Additional properties are not allowed ('breakpoints' was unexpected)")
+        for where, alpha in (*(("barrier.alpha", table) for table in tables),
+                             ("barrier.alpha.inner", {"family": "composition", "outer": {"family": "linear", "k": 1.0},
+                                                      "inner": tables[2]})):
+            with pytest.raises(ConfigError, match=rf"at {re.escape(where)}{unexpected}$"):
                 validate_config({"barrier": {"alpha": alpha}})
 
     # The last five passed the gate and then crashed learn: numpy takes neither a negative seed nor a float
@@ -358,6 +362,7 @@ class TestLearnCommand:
         lambda m: m["features"]["center"].pop(),  # shorter than indices
         lambda m: m["w_b"].__setitem__(0, math.nan),
         lambda m: m["features"]["scale"].__setitem__(0, 0.0),
+        lambda m: m["features"]["center"].__setitem__(0, math.nan),  # json reads and writes NaN
         lambda m: m["features"].__setitem__("indices", None),  # every coordinate, but a 3-entry center
         lambda m: m.__setitem__("features", [1, 2]),
         lambda m: m["features"].__setitem__("indices", [1, 2, 7]),  # the plant has 4 states
@@ -379,7 +384,7 @@ class TestLearnCommand:
         lambda m: m.__setitem__("ill_conditioned", "false"),
         lambda m: m.__setitem__("ridge_lambda", True),
         lambda m: m["w_b"].__setitem__(0, "0.5"),
-    ], ids=["W_a_rows", "w_b_short", "center_short", "w_b_nan", "scale_zero", "indices_null", "features_list",
+    ], ids=["W_a_rows", "w_b_short", "center_short", "w_b_nan", "scale_zero", "center_nan", "indices_null", "features_list",
             "index_out_of_range", "polynomial_with_count", "max_degree_bool", "index_bool", "seed_bool",
             "bandwidth_inf", "bandwidth_subnormal", "bandwidth_tiny_finite_weights",
             "ill_conditioned_string", "ridge_lambda_bool", "w_b_string"])

@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from pssf import kfun
+from pssf.ioutil import rule_error
 from pssf.kfun import (
     Composition,
     DomainError,
@@ -183,7 +184,17 @@ class TestMembership:
             verify_class_membership(Linear(1.0), [-1.0, 0.0, math.inf])
 
 
+def _composition(depth: int) -> tuple:
+    """A composition ``depth`` levels deep, and its config spec: each level's outer part a power, its inner part deeper."""
+    if depth == 0:
+        return Linear(1.5), {"family": "linear", "k": 1.5}
+    fn, spec = _composition(depth - 1)
+    return (Composition(Power(0.5, 1.0 + depth), fn),
+            {"family": "composition", "outer": {"family": "power", "c": 0.5, "p": 1.0 + depth}, "inner": spec})
+
+
 class TestSerialization:
+    # from_config builds from a spec that keeps ALPHA, the rule the config walker checks it against.
     @pytest.mark.parametrize(
         "alpha",  # (constructed function, its config spec)
         [
@@ -192,18 +203,37 @@ class TestSerialization:
             (Composition(Linear(2.0), Power(1.0, 2.0)),
              {"family": "composition", "outer": {"family": "linear", "k": 2.0},
               "inner": {"family": "power", "c": 1.0, "p": 2.0}}),
+            _composition(3),
         ],
     )
     def test_round_trip(self, alpha):
         fn, spec = alpha
+        assert rule_error(kfun.ALPHA, spec) is None
         rebuilt = kfun.from_config(spec)
-        for r in (0.0, 0.3, 0.9):
+        assert rebuilt == fn
+        for r in (-2.0, 0.0, 0.3, 0.9, 7.0):
             assert rebuilt(r) == fn(r)
 
+    def test_integer_parameters_build_floats(self):
+        # An int keeps the rule's "number"; the function holds its float, as the certificate's k is written.
+        spec = {"family": "composition", "outer": {"family": "linear", "k": 2}, "inner": {"family": "power", "c": 1, "p": 3}}
+        assert rule_error(kfun.ALPHA, spec) is None
+        rebuilt = kfun.from_config(spec)
+        assert rebuilt == Composition(Linear(2.0), Power(1.0, 3.0))
+        assert [type(v) for v in (rebuilt.outer.k, rebuilt.inner.c, rebuilt.inner.p)] == [float] * 3
+
     def test_unknown_family_rejected(self):
-        with pytest.raises(ValueError):
-            kfun.from_config({"family": "exp", "k": 1.0})
+        assert rule_error(kfun.ALPHA, {"family": "exp", "k": 1.0}) == "family: 'exp' is not one of ['linear']"
+        inner = {"family": "composition", "outer": {"family": "linear", "k": 1.0}, "inner": {"family": "exp", "k": 1.0}}
+        assert rule_error(kfun.ALPHA, inner) == "inner.family: 'exp' is not one of ['linear']"
 
     def test_unknown_keys_rejected(self):
-        with pytest.raises(ValueError):
-            kfun.from_config({"family": "linear", "k": 1.0, "kk": 2.0})
+        assert (rule_error(kfun.ALPHA, {"family": "linear", "k": 1.0, "kk": 2.0})
+                == "<root>: Additional properties are not allowed ('kk' was unexpected)")
+        assert rule_error(kfun.ALPHA, {"family": "power", "c": 1.0}) == "<root>: 'p' is a required property"
+
+    @pytest.mark.parametrize("param", [0, -1.0, math.inf, math.nan, 10 ** 400, "2", True, None],
+                             ids=["zero", "negative", "inf", "nan", "int_past_float", "string", "bool", "null"])
+    def test_parameters_are_positive_finite_numbers(self, param):
+        assert rule_error(kfun.ALPHA, {"family": "linear", "k": param}).startswith("k: ")
+        assert rule_error(kfun.ALPHA, {"family": "power", "c": 1.0, "p": param}).startswith("p: ")

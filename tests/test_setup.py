@@ -2,12 +2,14 @@
 
 ``load_config`` parses with libyaml where PyYAML has it and with the pure-Python
 loader otherwise; both must give the same resolved config and the same config
-errors, each at its pinned path. ``model_error_drift_sup`` takes its norms in one
+errors, each at its pinned path. Configs that crashed the gate run in child
+processes, so that a parser that crashes again cannot end the suite. ``model_error_drift_sup`` takes its norms in one
 stacked call and must equal the per-sample loop it replaced (``tests/oracles.py``)
 bit for bit. That loop subtracts arrays, so it reads the scenario through
 :func:`array_drifts`; the drifts themselves return tuples of floats.
 """
 
+import json
 import os
 import subprocess
 import sys
@@ -18,7 +20,7 @@ import numpy as np
 import pytest
 import yaml
 
-from pssf.config import DEFAULT_CONFIG, ConfigError, load_config
+from pssf.config import DEFAULT_CONFIG, load_config
 from pssf.cli import main
 from pssf.scenario import build_scenario, model_error_drift_sup
 
@@ -35,8 +37,22 @@ def array_drifts(scn):
     return SimpleNamespace(seed=scn.seed, cfg=scn.cfg, true_system=SimpleNamespace(drift=as_array(scn.true_system.drift)),
                            nominal_system=SimpleNamespace(drift=as_array(scn.nominal_system.drift)))
 
-# The YAML of every case in CI's console-script exit-code loop, the malformed one included, each with the
-# start of the config error that load_config gives (None: the config is valid; see _outcome for a parse
+DEEP = 100_000
+_LINEAR = "{family: linear, k: 1.0}"
+# Configs that crashed the gate: 100 000 levels of a list, a flow mapping and a compact block list overflowed
+# libyaml's composer (exit 139), an alpha of 1000 compositions overflowed Python's recursion limit, and an alpha
+# whose outer or inner part is an alias of itself recursed without end. Each is a config error now.
+CRASH_CASES = {
+    "deep_list": "run: {duration: 0.05, x0: " + "[" * DEEP + "0.0" + "]" * DEEP + "}",
+    "deep_flow_mapping": "{a: " * DEEP + "1" + "}" * DEEP,
+    "deep_block_list": "- " * DEEP + "1",
+    "alpha_1000_compositions": ("barrier: {alpha: " + "{family: composition, outer: " * 1000 + _LINEAR
+                                + f", inner: {_LINEAR}}}" * 1000 + "}"),
+    "alpha_outer_alias_of_itself": f"barrier: {{alpha: &a {{family: composition, outer: *a, inner: {_LINEAR}}}}}",
+    "alpha_inner_alias_of_itself": f"barrier: {{alpha: &a {{family: composition, outer: {_LINEAR}, inner: *a}}}}",
+}
+# The YAML of every case in CI's console-script exit-code step, the malformed one included, each with the
+# start of the config error that load_config gives (None: the config is valid; see _OUTCOMES for a parse
 # error). The path is pinned and the message is not, so a change of validator cannot move a path silently.
 CI_CASES = [
     ("run: {duration: 0.2}", None),
@@ -48,7 +64,7 @@ CI_CASES = [
     ("barrier: {alpha: {family: linear, k: 1.0e-320}}", "config error at barrier.alpha: "),
     ("controller: {excitation: {amplitude: 1.0}}", "config error at controller: "),
     ("barrier: {alpha: {family: tabulated, breakpoints: [[0, 0], [1, 1]]}}", "config error at barrier.alpha: "),
-    ('barrier: {alpha: {family: linear, k: "2"}}', "config error at barrier.alpha: "),
+    ('barrier: {alpha: {family: linear, k: "2"}}', "config error at barrier.alpha.k: "),
     ("learning: {features: {kind: polynomial, max_degree: 2, count: 5}}", "config error at learning.features: "),
     ("run: {duration: 0.0105}", "config error at run.duration: "),
     ("run: {duration: 1.0e-15}", "config error at run.duration: "),
@@ -61,17 +77,41 @@ CI_CASES = [
      "features: {kind: random_fourier, count: 5, bandwidth: 1.0e-320}}", "config error at learning.features: "),
     ("run: {duration: 0.05}\nlearning: {episodes: 1, episode_duration: 0.05, "
      "features: {kind: random_fourier, count: 5, bandwidth: 1.0e-308, seed: 1}}", "config error at learning.features: "),
+    *((text, "config error: nesting deeper than 100 levels in ") for text in CRASH_CASES.values()),
 ]
 MALFORMED_YAML = "run: {duration: [1, 2}\n"
 
 
-def _outcome(path):
-    """The resolved config, or the config error's message (a parse error only as its prefix)."""
+CHILD_ENV = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [str(REPO_ROOT / "src"), os.environ.get("PYTHONPATH")]))}
+# load_config's outcome on each path in argv[1:], as JSON: the resolved config, or the config error's message (a
+# parse error only as its prefix).
+_OUTCOMES = """
+import json, sys
+from pssf.config import ConfigError, load_config
+def outcome(path):
     try:
         return load_config(path)
     except ConfigError as exc:
         message = str(exc)
         return "cannot parse" if message.startswith(f"config error: cannot parse {path}: ") else message
+print(json.dumps([outcome(path) for path in sys.argv[1:]]))
+"""
+_PSSF = "import sys; from pssf.cli import main; sys.exit(main(sys.argv[1:]))"
+
+
+def _child(loader, code, *args):
+    """Run ``code`` on ``args`` in a child process with the given loader, so that a crash of the parser cannot end the
+    suite; the pure-Python loader is the one load_config picks once CSafeLoader is gone."""
+    prelude = 'import yaml; vars(yaml).pop("CSafeLoader", None)\n' if loader == "pure_python" else ""
+    return subprocess.run([sys.executable, "-c", prelude + code, *map(str, args)], env=CHILD_ENV, capture_output=True,
+                          text=True, timeout=600)
+
+
+def _outcomes(paths, loader):
+    """Each path's outcome, as ``_OUTCOMES`` gives it."""
+    result = _child(loader, _OUTCOMES, *paths)
+    assert result.returncode == 0, result.stderr
+    return json.loads(result.stdout)
 
 
 @pytest.fixture(params=["libyaml", "pure_python"])
@@ -93,14 +133,13 @@ def test_load_config_picks_libyaml_if_present(monkeypatch):
     assert used == expected
 
 
-def test_loaders_give_equal_configs(tmp_path, monkeypatch):
+def test_loaders_give_equal_configs(tmp_path):
     paths = [REPO_ROOT / "configs" / "benchmark.yaml"]
     for i, (text, _) in enumerate(CI_CASES):
         paths.append(tmp_path / f"case{i}.yaml")
         paths[-1].write_text(text + "\n")
-    with_libyaml = [_outcome(path) for path in paths]
-    monkeypatch.delattr(yaml, "CSafeLoader", raising=False)
-    fallback = [_outcome(path) for path in paths]
+    with_libyaml = _outcomes(paths, "libyaml")
+    fallback = _outcomes(paths, "pure_python")
     assert with_libyaml == fallback
     assert with_libyaml[0] == DEFAULT_CONFIG
     # Valid: the benchmark, the cases that exit 0, 3 and 4, and the fractional episode, which only learn checks.
@@ -113,12 +152,33 @@ def test_loaders_give_equal_configs(tmp_path, monkeypatch):
             assert isinstance(outcome, str) and outcome.startswith(pinned), (text, outcome)
 
 
+@pytest.mark.parametrize("case", CRASH_CASES)
+def test_deep_or_self_referencing_config_exit_code(tmp_path, case, loader):
+    path = tmp_path / "case.yaml"
+    path.write_text(CRASH_CASES[case] + "\n")
+    result = _child(loader, _PSSF, "simulate", "--config", path, "--out", tmp_path / "out")
+    assert result.returncode == 2, result.stderr[-2000:]
+    assert result.stderr.count("config error") == 1 and "nesting deeper than 100 levels" in result.stderr
+    assert not (tmp_path / "out").exists()
+
+
+def test_deep_model_exit_code(tmp_path):
+    """A ridge_lambda nested 100 000 lists deep, past what json's decoder recurses into, is a config error."""
+    model = json.loads((REPO_ROOT / "perfbench" / "inputs" / "model_seed0.json").read_text())
+    model["ridge_lambda"] = "DEEP"
+    model_path = tmp_path / "model.json"
+    model_path.write_text(json.dumps(model).replace(json.dumps("DEEP"), "[" * DEEP + "1.0" + "]" * DEEP))
+    config = tmp_path / "short_run.yaml"
+    config.write_text("run: {duration: 0.05}\n")
+    result = _child("libyaml", _PSSF, "simulate", "--config", config, "--model", model_path, "--out", tmp_path / "out")
+    assert result.returncode == 2, result.stderr[-2000:]
+    assert result.stderr.count("config error") == 1 and f"cannot load model {model_path}" in result.stderr
+
+
 def test_cli_import_leaves_out_jsonschema():
     """The config gate needs no jsonschema, which would cost every process its import: a fresh one does not load it."""
     code = "import sys, pssf.cli; print(sorted(m for m in sys.modules if m.partition('.')[0] == 'jsonschema'))"
-    paths = [str(REPO_ROOT / "src"), os.environ.get("PYTHONPATH")]
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, paths))}
-    result = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    result = subprocess.run([sys.executable, "-c", code], env=CHILD_ENV, capture_output=True, text=True, check=True)
     assert result.stdout.strip() == "[]"
 
 
