@@ -3,31 +3,35 @@
 Each key is declared once, in ``SCHEMA``, with its rule and its default, and
 ``DEFAULT_CONFIG`` is read from those defaults. A key with its own default is
 one value that an override replaces whole. Unknown keys are errors
-everywhere (no silent typos). ``validate_config`` returns the fully resolved
-dictionary, which every run writes beside its outputs so any artifact can be
-reproduced from what sits next to it.
+everywhere (no silent typos). ``validate_config`` walks the rules and returns
+the fully resolved dictionary, which every run writes beside its outputs so
+any artifact can be reproduced from what sits next to it; what needs a built
+object is checked where ``scenario.build_scenario`` builds it.
 
 A rule is a JSON Schema subset that ``ioutil.rule_error`` walks, in model files
 too: type, minimum, exclusiveMinimum, enum, properties, additionalProperties
 (false), required, items, minItems, maxItems and anyOf. Of a config's errors it
 reports the shallowest, a type error first, then the first in keyword order; a
-failed anyOf reports its branch that fails in fewest ways. Alpha's rule is
-``kfun.ALPHA``, which refers to itself for a composition's parts. A file that
-nests deeper than ``MAX_DEPTH`` levels is a config error before it is composed.
+failed anyOf reports a tag that no branch takes (alpha's ``family``, a map's
+``kind``), or else its branch that fails in fewest ways. Alpha's rule is
+``kfun.ALPHA``, which refers to itself for a composition's parts. A config is a
+plain YAML tree: an anchor, an alias or nesting deeper than ``MAX_DEPTH``
+levels is a config error before the file is composed.
 """
 
 from __future__ import annotations
 
 import copy
 import dataclasses
+from contextlib import contextmanager
 from pathlib import Path
 
 import yaml
 
 from . import kfun
-from .dynamics import BENCHMARK_PERTURBATION, PerturbationSpec, SegwayParams, step_count
+from .dynamics import SegwayParams, step_count
 from .ioutil import AT_LEAST_ONE, POSITIVE, rule_block as _block, rule_error
-from .learning import FEATURES, FeatureMap
+from .learning import FEATURES
 
 
 class ConfigError(ValueError):
@@ -52,9 +56,11 @@ SCHEMA = _block(required=["system", "barrier", "controller", "learning", "run"],
     "system": _block({
         **{name: _leaf(POSITIVE, value) for name, value in _SEGWAY_DEFAULTS.items() if name != "viscous_friction"},
         "viscous_friction": _leaf(_NONNEGATIVE, _SEGWAY_DEFAULTS["viscous_friction"]),
+        # The design model's perturbation; the benchmark's errs in both the drift and the actuation channel.
         "perturbation": _block({
-            "scale": _leaf(_block({name: POSITIVE for name in _SEGWAY_DEFAULTS}), dict(BENCHMARK_PERTURBATION.scale)),
-            "drop_friction": _leaf({"type": "boolean"}, BENCHMARK_PERTURBATION.drop_friction),
+            "scale": _leaf(_block({name: POSITIVE for name in _SEGWAY_DEFAULTS}),
+                           {"body_mass": 1.15, "body_inertia": 0.85, "motor_torque_scale": 0.9}),
+            "drop_friction": _leaf({"type": "boolean"}, True),
         }),
     }),
     "barrier": _block({
@@ -109,20 +115,30 @@ def system_params(system: dict) -> tuple[SegwayParams, SegwayParams]:
     """The plant's parameters and the design model's (the plant's under the perturbation) from a ``system`` block."""
     params = SegwayParams(**{name: system[name] for name in SegwayParams.__dataclass_fields__})
     perturbation = system["perturbation"]
-    return params, PerturbationSpec(dict(perturbation["scale"]), perturbation["drop_friction"]).apply(params)
+    scaled = {name: getattr(params, name) * factor for name, factor in perturbation["scale"].items()}
+    if perturbation["drop_friction"]:
+        scaled["viscous_friction"] = 0.0
+    return params, dataclasses.replace(params, **scaled)
+
+
+@contextmanager
+def errors_at(where: str, note: str = ""):
+    """Inside, a builder's ValueError or OverflowError is a config error at ``where``: ``note`` and its message."""
+    try:
+        yield
+    except (ValueError, OverflowError) as exc:
+        raise ConfigError(f"config error at {where}: {note}{exc}") from exc
 
 
 def check_steps(duration: float, dt: float, where: str) -> None:
     """Config error at ``where`` unless duration is a whole number, at least one, of dt steps."""
-    try:
+    with errors_at(where):
         if step_count(duration, dt) < 1:
             raise ValueError(f"duration {duration} is less than one step of dt = {dt}")
-    except ValueError as exc:
-        raise ConfigError(f"config error at {where}: {exc}") from exc
 
 
 def validate_config(user: dict) -> dict:
-    """Merge onto defaults and validate; returns the fully resolved config."""
+    """Merge onto defaults and walk ``SCHEMA``; returns the fully resolved config. It builds nothing."""
     if not isinstance(user, dict):
         raise ConfigError(f"config error: config must be a mapping, got {type(user).__name__}")
     resolved = copy.deepcopy(DEFAULT_CONFIG)
@@ -130,28 +146,6 @@ def validate_config(user: dict) -> dict:
     error = rule_error(SCHEMA, resolved)
     if error is not None:
         raise ConfigError(f"config error at {error}")
-
-    # The step count, the Segway parameters, alpha's inverse and the feature
-    # weights' range are checked by the code that builds them.
-    check_steps(resolved["run"]["duration"], resolved["run"]["dt"], "run.duration")
-    try:
-        system_params(resolved["system"])
-    except ValueError as exc:
-        raise ConfigError(f"config error at system: {exc}") from exc
-    # Every family takes all reals, as the filter's alpha at any h must; every
-    # certificate needs alpha^-1 at any delta_bar >= 0, so it must be representable.
-    alpha = kfun.from_config(resolved["barrier"]["alpha"])
-    try:
-        alpha.inverse()
-    except (ValueError, OverflowError) as exc:
-        raise ConfigError(f"config error at barrier.alpha: alpha^-1 is not representable: {exc}") from exc
-    # A map with a unit normalization draws the random_fourier weights, which must keep W z finite.
-    features = resolved["learning"]["features"]
-    n_sel = len(features["indices"]) if "indices" in features else len(resolved["run"]["x0"])
-    try:
-        FeatureMap(features, [0.0] * n_sel, [1.0] * n_sel)
-    except ValueError as exc:
-        raise ConfigError(f"config error at learning.features: {exc}") from exc
     return resolved
 
 
@@ -159,27 +153,22 @@ def validate_config(user: dict) -> dict:
 MAX_DEPTH = 100
 
 
-def _check_depth(text: str, loader, path) -> None:
-    """Config error unless ``text`` composes to at most ``MAX_DEPTH`` levels, an alias as deep as its anchor.
+def _check_tree(text: str, loader, path) -> None:
+    """Config error unless ``text`` is a plain tree: no anchor or alias, and at most ``MAX_DEPTH`` levels.
 
-    libyaml's composer recurses on the C stack, which some 20 000 levels overflow; its parser does not. The event
-    scan costs a third of a parse, so it skips a text with no alias and at most ``MAX_DEPTH`` collection starts.
+    libyaml's composer recurses on the C stack, which some 20 000 levels overflow; its parser does not. The scan costs
+    a third of a parse: it skips a text with no ``&`` or ``*`` and at most ``MAX_DEPTH`` collection-start characters.
     """
-    if "*" not in text and sum(map(text.count, "-?:[{")) <= MAX_DEPTH:  # each collection starts at one of these
+    if "&" not in text and "*" not in text and sum(map(text.count, "-?:[{")) <= MAX_DEPTH:
         return
-    heights, stack = {}, []  # each anchor's height in collections, itself included; [anchor, height] of each open one
+    depth = 0
     for event in yaml.parse(text, Loader=loader):
-        height = heights.get(event.anchor, 0) if isinstance(event, yaml.AliasEvent) else 0  # an alias's is its anchor's
-        if isinstance(event, yaml.CollectionStartEvent):
-            stack.append([event.anchor, 1])
-            heights[event.anchor] = float("inf")  # until it ends: an alias inside its own anchor nests without end
-        elif isinstance(event, yaml.CollectionEndEvent):
-            anchor, height = stack.pop()
-            heights[anchor] = height
-        if len(stack) + height > MAX_DEPTH:  # the deepest level the event reaches, a start's being its own
+        if getattr(event, "anchor", None) is not None:  # an anchor on a node, or an alias
+            raise ConfigError(f"config error: a YAML anchor or alias at line {event.start_mark.line + 1} of {path}; "
+                              f"a config is a plain tree")
+        depth += isinstance(event, yaml.CollectionStartEvent) - isinstance(event, yaml.CollectionEndEvent)
+        if depth > MAX_DEPTH:
             raise ConfigError(f"config error: nesting deeper than {MAX_DEPTH} levels in {path}")
-        if stack:
-            stack[-1][1] = max(stack[-1][1], height + 1)
 
 
 def load_config(path) -> dict:
@@ -195,7 +184,7 @@ def load_config(path) -> dict:
         raise ConfigError(f"config error: cannot read {path}: {exc}") from exc
     loader = getattr(yaml, "CSafeLoader", yaml.SafeLoader)
     try:
-        _check_depth(text, loader, path)
+        _check_tree(text, loader, path)
         user = yaml.load(text, Loader=loader)
     except yaml.YAMLError as exc:
         raise ConfigError(f"config error: cannot parse {path}: {exc}") from exc

@@ -15,9 +15,9 @@ what a rollout records. Every sum of products, here and in ``barrier``,
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
 from itertools import repeat
-from typing import Callable, Mapping, Optional, Sequence
+from typing import Callable, Optional, Sequence
 
 import numpy as np
 
@@ -101,32 +101,6 @@ class SegwayParams:
         """(m l, d11, d22): D(q) = [[d11, m l cos(pitch)], [m l cos(pitch), d22]]."""
         ml = self.body_mass * self.com_length
         return ml, self.body_mass + 1.5 * self.wheel_mass, self.body_inertia + ml * self.com_length
-
-
-@dataclass(frozen=True)
-class PerturbationSpec:
-    """Multiplicative parameter scalings plus effects to drop from a model."""
-
-    scale: Mapping[str, float] = field(default_factory=dict)
-    drop_friction: bool = False
-
-    def apply(self, params: SegwayParams) -> SegwayParams:
-        unknown = set(self.scale) - set(SegwayParams.__dataclass_fields__)
-        if unknown:
-            raise ValueError(f"unknown Segway parameters in perturbation: {sorted(unknown)}")
-        scaled = {name: getattr(params, name) * factor for name, factor in self.scale.items()}
-        out = replace(params, **scaled)
-        if self.drop_friction:
-            out = replace(out, viscous_friction=0.0)
-        return out
-
-
-#: Nominal-model perturbation used by the benchmark scenario. It exercises
-#: both the drift-error and actuation-error channels of the residual.
-BENCHMARK_PERTURBATION = PerturbationSpec(
-    scale={"body_mass": 1.15, "body_inertia": 0.85, "motor_torque_scale": 0.9},
-    drop_friction=True,
-)
 
 
 def segway_true(params: SegwayParams) -> ControlAffineSystem:

@@ -103,9 +103,16 @@ def _rule_errors(rule: dict, value, path: tuple) -> list:
         elif keyword == "items":
             for index, item in enumerate(value):
                 errors += _rule_errors(arg, item, path + (index,))
-        elif keyword == "anyOf":
-            branches = [_rule_errors(sub, value, path) for sub in arg]
-            if all(branches):
+        elif keyword == "anyOf" and all(branches := [_rule_errors(sub, value, path) for sub in arg]):
+            # An entry of an object that every branch's enum rejects (alpha's family, a map's kind) is a tag no branch
+            # takes: its error lists every branch's values, beside the errors that all branches share.
+            for key in value if isinstance(value, dict) else ():
+                enums = [sub.get("properties", {}).get(key, {}).get("enum", [value[key]]) for sub in arg]
+                if all(value[key] not in enum for enum in enums):
+                    errors.append((path + (key,), False, f"{value[key]!r} is not one of {sum(enums, [])!r}"))
+                    errors += [error for error in branches[0] if all(error in found for found in branches[1:])]
+                    break
+            else:
                 # The branch that fails in fewest ways, a branch that rejects the value's type failing most.
                 best = min(branches, key=lambda found: (found[0][:2] == (path, True), len(found)))
                 if best[0][:2] == (path, True):

@@ -23,10 +23,10 @@ from .certify import (
     make_certificate,
     verify_certificate,
 )
-from .config import ConfigError, check_steps, save_config, set_by_path, system_params, validate_config
+from .config import ConfigError, check_steps, errors_at, save_config, set_by_path, system_params, validate_config
 from .dynamics import ControlAffineSystem, Trajectory, segway_true, simulate
 from .ioutil import write_csv, write_json
-from .learning import ResidualModel, episodic_train
+from .learning import POLYNOMIAL, FeatureMap, ResidualModel, episodic_train
 
 
 def ellipse_pitch_barrier(pitch_max: float, rate_max: float, alpha) -> BarrierFunction:
@@ -101,21 +101,44 @@ class Scenario:
         return closed_loop_delta_trace(traj, self.barrier, self.true_system, self.nominal_system, residual=residual)
 
 
+#: The largest ridge-fit stack, in bytes, that a config may ask ``learn`` for (the benchmark's is 8.0 MB).
+FIT_STACK_BYTES = 2 ** 30
+
+
 def build_scenario(cfg: dict) -> Scenario:
+    """Resolve ``cfg`` by its rules and build each run object once, checked there (a builder's error is a config
+    error at its key): whole steps, a plant and a design model, a representable alpha^-1 (every certificate needs
+    one), a fit stack within ``FIT_STACK_BYTES`` and a unit feature map with finite W z. Holds the resolved cfg."""
     cfg = validate_config(cfg)
-    params, design_params = system_params(cfg["system"])
-    bar = ellipse_pitch_barrier(cfg["barrier"]["pitch_max"], cfg["barrier"]["pitch_rate_max"],
-                                kfun.from_config(cfg["barrier"]["alpha"]))
+    run, learn = cfg["run"], cfg["learning"]
+    check_steps(run["duration"], run["dt"], "run.duration")
+    with errors_at("system"):
+        params, design_params = system_params(cfg["system"])
+    alpha = kfun.from_config(cfg["barrier"]["alpha"])
+    with errors_at("barrier.alpha", "alpha^-1 is not representable: "):
+        alpha.inverse()
+    true_system = segway_true(params)
+    features = learn["features"]
+    n_sel = len(features.get("indices", run["x0"]))
+    # The last fit's (rows + p) x p stack, p = dimension x (inputs + 1), rows = episodes x episode_duration / dt, in
+    # exact integers from the spec; a degree past sqrt(budget / 8) is too large at any size, so it counts as that.
+    degree = min(features.get("max_degree", 0), math.isqrt(FIT_STACK_BYTES // 8))
+    p = (math.comb(n_sel + degree, n_sel) if features["kind"] == POLYNOMIAL
+         else features["count"]) * (true_system.input_dim + 1)
+    (a, b), (c, d) = learn["episode_duration"].as_integer_ratio(), run["dt"].as_integer_ratio()
+    if (learn["episodes"] * a * d + p * b * c) * p * 8 > FIT_STACK_BYTES * b * c:  # rows = episodes a d / (b c)
+        raise ConfigError(f"config error at learning.features: a fit over {learn['episodes']} episodes of "
+                          f"{learn['episode_duration']} s needs a stack of more than {FIT_STACK_BYTES} bytes")
+    with errors_at("learning.features"):
+        FeatureMap(features, [0.0] * n_sel, [1.0] * n_sel)
     ctl = cfg["controller"]
-    desired = pd_pitch_controller(ctl["kp"], ctl["kd"], ctl["reference"]["amplitude"],
-                                  ctl["reference"]["frequency"])
-    run = cfg["run"]
     return Scenario(
         cfg=cfg,
-        true_system=segway_true(params),
+        true_system=true_system,
         nominal_system=segway_true(design_params),
-        barrier=bar,
-        desired=desired,
+        barrier=ellipse_pitch_barrier(cfg["barrier"]["pitch_max"], cfg["barrier"]["pitch_rate_max"], alpha),
+        desired=pd_pitch_controller(ctl["kp"], ctl["kd"], ctl["reference"]["amplitude"],
+                                    ctl["reference"]["frequency"]),
         x0=np.asarray(run["x0"], dtype=float),
         duration=run["duration"],
         dt=run["dt"],
@@ -243,7 +266,7 @@ def sweep_artifacts(cfg: dict, param: str, values, out_dir) -> list:
     The learned columns stay blank: a sweep runs no learned mode.
     """
     out = Path(out_dir)
-    base = validate_config(cfg)
+    base = build_scenario(cfg).cfg
     set_by_path(base, param, values[0])  # bad parameter paths are config errors, not row errors
     rows = []
     for i, value in enumerate(values):

@@ -79,12 +79,14 @@ class TestConfigValidation:
                             ("run.seed", {"run": {"seed": 0.0}}), ("controller.kp", {"controller": {"kp": True}})):
             with pytest.raises(ConfigError, match=where):
                 validate_config(user)
-        # 10.5 and zero steps of run.dt, a singular plant, and a design model only the perturbation makes singular.
+        # 10.5 and zero steps of run.dt, a singular plant, and a design model only the perturbation makes singular:
+        # the rules pass them, and build_scenario rejects each where it builds the steps or the parameters.
         for where, block in (("run.duration", {"duration": 0.0105}), ("run.duration", {"duration": 1e-15}),
                              ("system", {"body_mass": 1e-6, "wheel_mass": 1e-6, "body_inertia": 1e-6}),
                              ("system", {"perturbation": {"scale": {"body_inertia": 1e-13, "wheel_mass": 1e-13}}})):
+            validate_config({where.split(".")[0]: block})
             with pytest.raises(ConfigError, match=where):
-                validate_config({where.split(".")[0]: block})
+                build_scenario({where.split(".")[0]: block})
 
     def test_bad_alpha_family(self):
         with pytest.raises(ConfigError, match="alpha"):
@@ -104,7 +106,7 @@ class TestConfigValidation:
                       {"family": "power", "c": 1.0e-300, "p": 0.01},
                       {"family": "power", "c": 1.0e+300, "p": 0.01}):
             with pytest.raises(ConfigError, match="alpha"):
-                validate_config({"barrier": {"alpha": alpha}})
+                build_scenario({"barrier": {"alpha": alpha}})
         # No family but the closed forms, which take all reals as the filter and the certificate need: not a
         # table, alone or inside a composition.
         tables = [{"family": "tabulated", "breakpoints": breakpoints}
@@ -118,7 +120,7 @@ class TestConfigValidation:
 
     # The last five passed the gate and then crashed learn: numpy takes neither a negative seed nor a float
     # index, and a bandwidth this small makes every (1e-320) or some (1e-308) of the weights normal / bandwidth inf,
-    # or, with seed 1's finite weights, W z inf.
+    # or, with seed 1's finite weights, W z inf. The bandwidths are caught where build_scenario draws the weights.
     @pytest.mark.parametrize("features", [{"kind": "polynomial"}, {"kind": "random_fourier", "count": 4},
                                           {"kind": "polynomial", "max_degree": 2, "count": 5, "bandwidth": 3.0},
                                           {"kind": "random_fourier", "count": 4, "bandwidth": 1.0, "seed": -1},
@@ -128,7 +130,13 @@ class TestConfigValidation:
                                           {"kind": "random_fourier", "count": 5, "bandwidth": 1.0e-308, "seed": 1}])
     def test_feature_kind_needs_its_keys(self, features):
         with pytest.raises(ConfigError, match="learning.features"):
-            validate_config({"learning": {"features": features}})
+            build_scenario({"learning": {"features": features}})
+
+    def test_unknown_kind_lists_every_kind(self):
+        message = re.escape("at learning.features.kind: 'bogus' is not one of ['polynomial', 'random_fourier']")
+        for features in ({"kind": "bogus"}, {"kind": "bogus", "max_degree": 2}):
+            with pytest.raises(ConfigError, match=f"{message}$"):
+                validate_config({"learning": {"features": features}})
 
     def test_alpha_replaces_rather_than_merges(self):
         cfg = validate_config({"barrier": {"alpha": {"family": "power", "c": 1.0, "p": 2.0}}})

@@ -5,12 +5,11 @@ import numpy as np
 import pytest
 from scipy.linalg import expm
 
+from pssf.config import DEFAULT_CONFIG, system_params
 from pssf.dynamics import (
-    BENCHMARK_PERTURBATION,
     ControlAffineSystem,
     NonFiniteDynamicsError,
     NumericalBlowUpError,
-    PerturbationSpec,
     SegwayParams,
     Trajectory,
     segway_true,
@@ -31,6 +30,15 @@ def params():
 @pytest.fixture
 def segway(params):
     return segway_true(params)
+
+
+# The benchmark's design-model perturbation, as the config declares it.
+BENCHMARK_PERTURBATION = DEFAULT_CONFIG["system"]["perturbation"]
+
+
+def design_params(perturbation):
+    """The design model's parameters: the default plant's under ``perturbation``, through ``system_params``."""
+    return system_params({**DEFAULT_CONFIG["system"], "perturbation": perturbation})[1]
 
 
 def random_segway_states(rng, count):
@@ -61,29 +69,25 @@ class TestSegwayModel:
             SegwayParams(viscous_friction=-0.1)
 
     def test_identity_perturbation_matches_pointwise(self, params, segway):
-        nominal = segway_true(PerturbationSpec().apply(params))
+        nominal = segway_true(design_params({"scale": {}, "drop_friction": False}))
         rng = np.random.default_rng(0)
         for x in random_segway_states(rng, 100):
             assert np.array_equal(segway.drift(x), nominal.drift(x))
             assert np.array_equal(segway.actuation(x), nominal.actuation(x))
 
     def test_benchmark_perturbation_has_drift_error(self, params, segway):
-        nominal = segway_true(PerturbationSpec(scale={"body_mass": 1.2}, drop_friction=True).apply(params))
+        nominal = segway_true(design_params({"scale": {"body_mass": 1.2}, "drop_friction": True}))
         x = np.array([0.0, 0.5, 0.1, 0.0])
         assert np.linalg.norm(np.subtract(segway.drift(x), nominal.drift(x))) > 1e-3
 
     def test_benchmark_perturbation_drift_sup_finite(self, params, segway):
-        nominal = segway_true(BENCHMARK_PERTURBATION.apply(params))
+        nominal = segway_true(design_params(BENCHMARK_PERTURBATION))
         rng = np.random.default_rng(1)
         sup = max(
             float(np.linalg.norm(np.subtract(segway.drift(x), nominal.drift(x))))
             for x in random_segway_states(rng, 1000)
         )
         assert 0.0 < sup < 100.0
-
-    def test_unknown_perturbation_key_rejected(self, params):
-        with pytest.raises(ValueError):
-            PerturbationSpec(scale={"bogus": 2.0}).apply(params)
 
     def test_lipschitz_probe_bounded(self, segway):
         rng = np.random.default_rng(2)
@@ -170,7 +174,7 @@ def assert_bitwise_equal(a, b):
 class TestStepMatchesNumpyOracle:
     @pytest.mark.parametrize("perturbation", [None, BENCHMARK_PERTURBATION])
     def test_segway_random_states(self, params, perturbation):
-        system = segway_true(params if perturbation is None else perturbation.apply(params))
+        system = segway_true(params if perturbation is None else design_params(perturbation))
         rng = np.random.default_rng(20)
         states = random_segway_states(rng, 1000)
         # Exact zeros of either sign exercise the sign rules of g @ u.
@@ -230,7 +234,7 @@ class TestSharedEvaluation:
         rng = np.random.default_rng(22)
         a, b = random_segway_states(rng, 2)
         make = {"true": lambda: segway_true(params),
-                "nominal": lambda: segway_true(BENCHMARK_PERTURBATION.apply(params))}
+                "nominal": lambda: segway_true(design_params(BENCHMARK_PERTURBATION))}
         shared = {name: factory() for name, factory in make.items()}
         calls = [("true", "drift", a), ("true", "actuation", b), ("true", "drift", a),
                  ("nominal", "drift", a), ("true", "actuation", a), ("nominal", "actuation", b),
@@ -271,7 +275,7 @@ class TestMatchesReference:
 
     @pytest.mark.parametrize("order", ["drift_first", "actuation_first", "true_nominal_interleaved"])
     def test_bitwise_equal(self, params, order):
-        design = BENCHMARK_PERTURBATION.apply(params)
+        design = design_params(BENCHMARK_PERTURBATION)
         systems = {"true": (segway_true(params), segway_reference(params)),
                    "nominal": (segway_true(design), segway_reference(design))}
         calls = {"drift_first": [("true", "drift"), ("true", "actuation"), ("nominal", "drift"),

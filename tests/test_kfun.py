@@ -223,9 +223,12 @@ class TestSerialization:
         assert [type(v) for v in (rebuilt.outer.k, rebuilt.inner.c, rebuilt.inner.p)] == [float] * 3
 
     def test_unknown_family_rejected(self):
-        assert rule_error(kfun.ALPHA, {"family": "exp", "k": 1.0}) == "family: 'exp' is not one of ['linear']"
+        # Every family's branch rejects the name, so the error names the family with every one there is.
+        families = "['composition', 'linear', 'power']"
+        assert rule_error(kfun.ALPHA, {"family": "exp", "k": 1.0}) == f"family: 'exp' is not one of {families}"
+        assert rule_error(kfun.ALPHA, {"family": "nope"}) == f"family: 'nope' is not one of {families}"
         inner = {"family": "composition", "outer": {"family": "linear", "k": 1.0}, "inner": {"family": "exp", "k": 1.0}}
-        assert rule_error(kfun.ALPHA, inner) == "inner.family: 'exp' is not one of ['linear']"
+        assert rule_error(kfun.ALPHA, inner) == f"inner.family: 'exp' is not one of {families}"
 
     def test_unknown_keys_rejected(self):
         assert (rule_error(kfun.ALPHA, {"family": "linear", "k": 1.0, "kk": 2.0})
